@@ -4,7 +4,7 @@
 //! A self-contained, offline lint engine that mechanically enforces the
 //! workspace's determinism and unsafety contracts. The compiler cannot see
 //! these contracts — colorings, witness sequences, and q-error bits must be
-//! bit-identical across thread counts, storage modes, and persist/recover
+//! bit-identical across storage modes and persist/recover
 //! cycles — but their known failure modes are all *statically detectable*:
 //! hash-order iteration leaking into results, f64 reductions bypassing the
 //! canonical sum tree, `unsafe` sites without a written soundness argument,
@@ -17,13 +17,6 @@
 //! rule set ([`rules`]) over the token stream, producing span-accurate
 //! `file:line` diagnostics, an inline suppression syntax with mandatory
 //! justifications, and a machine-readable JSON report ([`report`]).
-//!
-//! The companion *dynamic* half of the audit — the one contract a lexer
-//! cannot reach — lives in `qsc-core::parallel`: under
-//! `--features audit`, `SyncSliceMut` records every `get_mut`/`slice_mut`
-//! claim in a lock-free log and aborts on overlapping claims from distinct
-//! threads, turning the pool's "provably disjoint writes" invariant into a
-//! checked property.
 //!
 //! Run it as the CI leg does:
 //!

@@ -10,10 +10,9 @@
 //! color (a proxy for split balance).
 //!
 //! Run with: `cargo run --release -p qsc-bench --bin ablation_rothko
-//! [-- --threads T] [--batch B]` — `--threads` shards each run's engine
-//! across workers (identical results), `--batch` applies batched witness
-//! rounds (B splits per synchronization point; this *changes* the greedy
-//! order, so it is itself an ablation axis).
+//! [-- --batch B]` — `--batch` applies batched witness rounds (B splits
+//! per synchronization point; this *changes* the greedy order, so it is
+//! itself an ablation axis).
 
 use qsc_bench::{arg_value, render_table, timed};
 use qsc_core::q_error::q_error_report;
@@ -26,22 +25,18 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--help") {
         println!("ablation_rothko: Rothko split-rule and witness-weight ablation");
-        println!("  --threads T  engine worker threads (default 1; results bit-identical)");
         println!("  --batch B    witness splits per synchronization round (default 1)");
         return;
     }
-    let threads: usize = arg_value(&args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
     let batch: usize = arg_value(&args, "--batch")
         .and_then(|v| v.parse().ok())
         .unwrap_or(1);
     println!("Ablation — Rothko split rule and witness weights (color budget {BUDGET})");
-    if threads != 1 || batch != 1 {
-        println!("(threads = {threads}, batch = {batch})");
+    if batch != 1 {
+        println!("(batch = {batch})");
     }
     println!();
-    let tuned = |config: RothkoConfig| config.threads(threads).batch(batch);
+    let tuned = |config: RothkoConfig| config.batch(batch);
     let configs: Vec<(&str, RothkoConfig)> = vec![
         (
             "arithmetic, α=0 β=0",

@@ -25,9 +25,7 @@
 //!
 //! * the maintained coloring is **bit-identical** to a fresh run *resumed
 //!   from the post-batch coloring* on the compacted graph (unit weights:
-//!   all arithmetic exact);
-//! * thread counts agree: the maintained colorings at `threads = 1` and
-//!   `threads = 4` are identical at every round.
+//!   all arithmetic exact).
 //!
 //! `BENCH_dynamic.json` records the generator/churn seed and the per-round
 //! speedups for both scenarios, each with a ≥ 3× maintain-vs-recompute bar
@@ -36,7 +34,7 @@
 //! `--smoke` (small instance, equivalence asserts, lenient bar, no JSON).
 //!
 //! Run with: `cargo run --release -p qsc-bench --bin bench_dynamic
-//! [-- --smoke] [--churn F] [--rounds R] [--threads T] [--seed S]`.
+//! [-- --smoke] [--churn F] [--rounds R] [--seed S]`.
 
 use qsc_bench::arg_value;
 use qsc_core::rothko::{NodeChurnBatch, Rothko, RothkoConfig, RothkoRun};
@@ -104,12 +102,6 @@ impl Churner {
     }
 }
 
-/// One maintained run plus its thread count.
-struct Maintained<'g> {
-    run: RothkoRun<'g>,
-    threads: usize,
-}
-
 /// Per-scenario speedup accounting.
 struct Tally {
     maintain_total: f64,
@@ -139,57 +131,38 @@ impl Tally {
     }
 }
 
-/// Cross-check one maintained round: identical colorings across thread
-/// counts, and bit-identical to a fresh run resumed from the post-batch
-/// coloring on the compacted graph. Returns (maintain_seconds, ops) of the
-/// first (timed) run.
-#[allow(clippy::too_many_arguments)]
+/// Apply one batch and maintain, then cross-check the result: it must be
+/// bit-identical to a fresh run resumed from the post-batch coloring on
+/// the compacted graph. Returns (maintain_seconds, ops).
 fn maintain_and_check(
-    maintained: &mut [Maintained],
+    run: &mut RothkoRun,
     compacted: &Graph,
     config: &RothkoConfig,
     scenario: &str,
     round: usize,
     apply: impl Fn(&mut RothkoRun, Graph),
 ) -> (f64, usize) {
-    let mut maintain_seconds = 0.0;
-    let mut ops = 0usize;
-    let mut prebatch: Option<Partition> = None;
-    let mut assignments: Vec<Vec<u32>> = Vec::new();
-    for (idx, me) in maintained.iter_mut().enumerate() {
-        let own = compacted.clone();
-        let start = Instant::now();
-        apply(&mut me.run, own);
-        let apply_elapsed = start.elapsed().as_secs_f64();
-        if idx == 0 {
-            prebatch = Some(me.run.partition().clone());
-        }
-        let o = me.run.maintain();
-        let elapsed = start.elapsed().as_secs_f64();
-        if idx == 0 {
-            maintain_seconds = elapsed;
-            ops = o;
-            if std::env::var_os("QSC_BENCH_PHASES").is_some() {
-                eprintln!(
-                    "    [{scenario} {round}] apply {apply_elapsed:.4}s maintain {:.4}s",
-                    elapsed - apply_elapsed
-                );
-            }
-        }
-        assignments.push(me.run.partition().canonical_assignment());
+    let own = compacted.clone();
+    let start = Instant::now();
+    apply(run, own);
+    let apply_elapsed = start.elapsed().as_secs_f64();
+    let prebatch: Partition = run.partition().clone();
+    let ops = run.maintain();
+    let maintain_seconds = start.elapsed().as_secs_f64();
+    if std::env::var_os("QSC_BENCH_PHASES").is_some() {
+        eprintln!(
+            "    [{scenario} {round}] apply {apply_elapsed:.4}s maintain {:.4}s",
+            maintain_seconds - apply_elapsed
+        );
     }
-    assert!(
-        assignments.windows(2).all(|w| w[0] == w[1]),
-        "{scenario} round {round}: maintained colorings differ across thread counts"
-    );
     let resume_config = RothkoConfig {
-        initial: prebatch,
+        initial: Some(prebatch),
         ..config.clone()
     };
     let mut resumed = Rothko::new(resume_config).start(compacted);
     resumed.maintain();
     assert!(
-        maintained[0].run.partition().same_as(resumed.partition()),
+        run.partition().same_as(resumed.partition()),
         "{scenario} round {round}: maintained coloring differs from a fresh run resumed on the compacted graph"
     );
     (maintain_seconds, ops)
@@ -202,7 +175,6 @@ fn main() {
         println!("  --smoke      small instance, equivalence asserts only (CI)");
         println!("  --churn F    fraction of edges (nodes) churned per round (default 0.01)");
         println!("  --rounds R   churn rounds per scenario (default 8)");
-        println!("  --threads T  engine threads for the maintained run (default 1; 4 is always cross-checked)");
         println!("  --seed S     generator + churn seed (default 7; recorded in the JSON)");
         return;
     }
@@ -213,9 +185,6 @@ fn main() {
     let rounds: usize = arg_value(&args, "--rounds")
         .and_then(|v| v.parse().ok())
         .unwrap_or(if smoke { 3 } else { 8 });
-    let extra_threads: usize = arg_value(&args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
     let seed: u64 = arg_value(&args, "--seed")
         .and_then(|v| v.parse().ok())
         .unwrap_or(7);
@@ -242,23 +211,12 @@ fn main() {
         target_error: q,
         ..Default::default()
     };
-    let thread_counts = if extra_threads > 1 {
-        vec![1usize, extra_threads]
-    } else {
-        vec![1usize, 4]
-    };
 
     let mut rows: Vec<String> = Vec::new();
 
     // ---------------- Scenario 1: edge churn ----------------
-    let mut maintained: Vec<Maintained> = thread_counts
-        .iter()
-        .map(|&t| {
-            let mut run = Rothko::new(config.clone().threads(t)).start(&g);
-            run.maintain();
-            Maintained { run, threads: t }
-        })
-        .collect();
+    let mut maintained = Rothko::new(config.clone()).start(&g);
+    maintained.maintain();
     let mut churner = Churner::new(g.clone(), seed ^ 0x1157);
     let mut edge_tally = Tally::new();
     for round in 0..rounds {
@@ -278,12 +236,12 @@ fn main() {
         let speedup = edge_tally.record(maintain_seconds, recompute_seconds);
         println!(
             "edge round {round}: maintain {maintain_seconds:.4}s ({splits} splits, {} colors) vs recompute {recompute_seconds:.4}s — {speedup:.1}x",
-            maintained[0].run.partition().num_colors(),
+            maintained.partition().num_colors(),
         );
         rows.push(format!(
             "{{\"scenario\":\"edge_churn\",\"round\":{round},\"events\":{},\"maintain_seconds\":{maintain_seconds:.6},\"recompute_seconds\":{recompute_seconds:.6},\"speedup\":{speedup:.3},\"maintained_splits\":{splits},\"maintained_colors\":{}}}",
             events.len(),
-            maintained[0].run.partition().num_colors(),
+            maintained.partition().num_colors(),
         ));
     }
     drop(maintained);
@@ -294,14 +252,8 @@ fn main() {
         ..config.clone()
     };
     let node_ops = ((n as f64 * churn).round() as usize).max(1);
-    let mut maintained: Vec<Maintained> = thread_counts
-        .iter()
-        .map(|&t| {
-            let mut run = Rothko::new(node_config.clone().threads(t)).start(&g);
-            run.maintain();
-            Maintained { run, threads: t }
-        })
-        .collect();
+    let mut maintained = Rothko::new(node_config.clone()).start(&g);
+    maintained.maintain();
     let mut churner = Churner::new(g.clone(), seed ^ 0x0DE5);
     let mut node_tally = Tally::new();
     // One untimed warm-up round: the first node batch pays one-time
@@ -309,7 +261,7 @@ fn main() {
     // axis first grows past its build-time capacity); the scenario
     // measures the steady state. Equivalence is still cross-checked.
     {
-        let p = maintained[0].run.partition().clone();
+        let p = maintained.partition().clone();
         let (batch, compacted) = churner.churn_nodes(&p, node_ops, 4);
         maintain_and_check(
             &mut maintained,
@@ -321,7 +273,7 @@ fn main() {
         );
     }
     for round in 0..rounds {
-        let p = maintained[0].run.partition().clone();
+        let p = maintained.partition().clone();
         let (batch, compacted) = churner.churn_nodes(&p, node_ops, 4);
         let (maintain_seconds, ops_done) = maintain_and_check(
             &mut maintained,
@@ -336,16 +288,16 @@ fn main() {
         recompute.maintain();
         let recompute_seconds = start.elapsed().as_secs_f64();
         let speedup = node_tally.record(maintain_seconds, recompute_seconds);
-        let merges = maintained[0].run.merges();
+        let merges = maintained.merges();
         println!(
             "node round {round}: maintain {maintain_seconds:.4}s ({ops_done} ops, {merges} total merges, {} colors) vs recompute {recompute_seconds:.4}s — {speedup:.1}x",
-            maintained[0].run.partition().num_colors(),
+            maintained.partition().num_colors(),
         );
         rows.push(format!(
             "{{\"scenario\":\"node_churn\",\"round\":{round},\"inserted\":{},\"removed\":{},\"maintain_seconds\":{maintain_seconds:.6},\"recompute_seconds\":{recompute_seconds:.6},\"speedup\":{speedup:.3},\"maintained_ops\":{ops_done},\"maintained_colors\":{}}}",
             batch.inserted_colors.len(),
             batch.removed.len(),
-            maintained[0].run.partition().num_colors(),
+            maintained.partition().num_colors(),
         ));
     }
 
@@ -353,8 +305,8 @@ fn main() {
     // Delete edges in waves until the error drops enough for maintenance
     // to coarsen: `k` must demonstrably shrink (the final wave removes
     // every remaining edge, which forces all merge bounds to zero).
-    let k_before = maintained[0].run.partition().num_colors();
-    let merges_before: usize = maintained[0].run.merges();
+    let k_before = maintained.partition().num_colors();
+    let merges_before: usize = maintained.merges();
     let mut wave = 0usize;
     loop {
         let remaining = churner.edges.len();
@@ -379,12 +331,12 @@ fn main() {
             |run, own| run.apply_edge_batch(own, &events),
         );
         wave += 1;
-        if maintained[0].run.merges() > merges_before || churner.edges.is_empty() {
+        if maintained.merges() > merges_before || churner.edges.is_empty() {
             break;
         }
     }
-    let k_after = maintained[0].run.partition().num_colors();
-    let cooldown_merges = maintained[0].run.merges() - merges_before;
+    let k_after = maintained.partition().num_colors();
+    let cooldown_merges = maintained.merges() - merges_before;
     println!(
         "cooldown: error-lowering churn coarsened k {k_before} -> {k_after} ({cooldown_merges} merges over {wave} wave(s))"
     );
@@ -418,10 +370,9 @@ fn main() {
     }
 
     rows.push(format!(
-        "{{\"summary\":\"maintain_vs_recompute\",\"graph\":\"barabasi_albert\",\"nodes\":{n},\"edges\":{m},\"seed\":{seed},\"probe_colors\":{colors},\"target_error\":{q},\"churn\":{churn},\"rounds\":{rounds},\"edge_headline_speedup\":{edge_headline:.3},\"edge_worst_round_speedup\":{:.3},\"node_headline_speedup\":{node_headline:.3},\"node_worst_round_speedup\":{:.3},\"cooldown_k_before\":{k_before},\"cooldown_k_after\":{k_after},\"cooldown_merges\":{cooldown_merges},\"bit_identical_to_resumed_fresh_run\":true,\"threads_cross_checked\":{:?},\"host_cpus\":{},\"peak_rss_bytes\":{},\"bar_enforced\":true}}",
+        "{{\"summary\":\"maintain_vs_recompute\",\"graph\":\"barabasi_albert\",\"nodes\":{n},\"edges\":{m},\"seed\":{seed},\"probe_colors\":{colors},\"target_error\":{q},\"churn\":{churn},\"rounds\":{rounds},\"edge_headline_speedup\":{edge_headline:.3},\"edge_worst_round_speedup\":{:.3},\"node_headline_speedup\":{node_headline:.3},\"node_worst_round_speedup\":{:.3},\"cooldown_k_before\":{k_before},\"cooldown_k_after\":{k_after},\"cooldown_merges\":{cooldown_merges},\"bit_identical_to_resumed_fresh_run\":true,\"host_cpus\":{},\"peak_rss_bytes\":{},\"bar_enforced\":true}}",
         edge_tally.worst,
         node_tally.worst,
-        maintained.iter().map(|m| m.threads).collect::<Vec<_>>(),
         qsc_bench::host_cpus(),
         qsc_bench::peak_rss_json()
     ));

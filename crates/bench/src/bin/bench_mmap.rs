@@ -24,7 +24,7 @@
 //! that is what lets a graph bigger than RAM open at all.
 //!
 //! Run with: `cargo run --release -p qsc-bench --bin bench_mmap
-//! [-- --smoke] [--nodes N] [--threads T] [--seed S]`.
+//! [-- --smoke] [--nodes N] [--seed S]`.
 
 use std::hint::black_box;
 use std::path::Path;
@@ -46,7 +46,6 @@ use rand::prelude::*;
 fn run_state_bytes(run: &RothkoRun<'_>) -> Vec<u8> {
     let mut config = run.config().clone();
     config.initial = None;
-    config.threads = None;
     let data = CheckpointData {
         graph: run.graph().clone(),
         config,
@@ -133,7 +132,6 @@ fn main() {
         println!("bench_mmap: zero-copy mapped checkpoint open vs eager decode restore");
         println!("  --smoke      small instance, equivalence asserts only (CI)");
         println!("  --nodes N    graph size (default 1_000_000; smoke 5_000)");
-        println!("  --threads T  engine threads (default 1)");
         println!("  --seed S     generator + churn seed (default 7)");
         return;
     }
@@ -147,9 +145,6 @@ fn main() {
         return;
     }
     let smoke = args.iter().any(|a| a == "--smoke");
-    let threads: usize = arg_value(&args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
     let seed: u64 = arg_value(&args, "--seed")
         .and_then(|v| v.parse().ok())
         .unwrap_or(7);
@@ -172,13 +167,10 @@ fn main() {
 
     let g = generators::barabasi_albert(n, ba_m, seed);
     let m = g.num_edges();
-    println!(
-        "instance: barabasi_albert n={n} m={m} seed={seed}, {colors} colors, {threads} thread(s)"
-    );
+    println!("instance: barabasi_albert n={n} m={m} seed={seed}, {colors} colors");
     let config = RothkoConfig {
         max_colors: colors,
         target_error: 0.0,
-        threads: Some(threads),
         storage: StorageMode::Auto,
         ..Default::default()
     };
@@ -266,7 +258,7 @@ fn main() {
         owned_data.config.clone(),
         &owned_data.run,
     );
-    let rec = Store::recover(&dir, Some(threads)).expect("mapped restore");
+    let rec = Store::recover(&dir, None).expect("mapped restore");
     let mut mapped_run = rec.run;
 
     let rounds = 3usize;
@@ -324,7 +316,7 @@ fn main() {
 
     let json_rss = |v: Option<u64>| v.map_or("null".to_string(), |b| b.to_string());
     let row = format!(
-        "{{\"summary\":\"mapped_checkpoint_vs_eager_decode\",\"graph\":\"barabasi_albert\",\"nodes\":{n},\"edges\":{m},\"seed\":{seed},\"colors\":{colors},\"threads\":{threads},\"checkpoint_file_bytes\":{},\"open_to_first_query_s\":{open_s:.5},\"eager_decode_s\":{decode_s:.4},\"open_speedup\":{open_speedup:.1},\"maintain_rounds\":{rounds},\"maintain_ops_per_round\":{tail_ops},\"maintain_mapped_s\":{mapped_maintain_s:.4},\"maintain_owned_s\":{owned_maintain_s:.4},\"maintain_ratio\":{maintain_ratio:.4},\"mapped_probe_peak_rss_bytes\":{},\"owned_probe_peak_rss_bytes\":{},\"bit_identical\":true,\"host_cpus\":{},\"rss_available\":{},\"bars\":{{\"open_speedup_min\":50.0,\"maintain_ratio_max\":1.15}},\"bar_enforced\":true}}",
+        "{{\"summary\":\"mapped_checkpoint_vs_eager_decode\",\"graph\":\"barabasi_albert\",\"nodes\":{n},\"edges\":{m},\"seed\":{seed},\"colors\":{colors},\"checkpoint_file_bytes\":{},\"open_to_first_query_s\":{open_s:.5},\"eager_decode_s\":{decode_s:.4},\"open_speedup\":{open_speedup:.1},\"maintain_rounds\":{rounds},\"maintain_ops_per_round\":{tail_ops},\"maintain_mapped_s\":{mapped_maintain_s:.4},\"maintain_owned_s\":{owned_maintain_s:.4},\"maintain_ratio\":{maintain_ratio:.4},\"mapped_probe_peak_rss_bytes\":{},\"owned_probe_peak_rss_bytes\":{},\"bit_identical\":true,\"host_cpus\":{},\"rss_available\":{},\"bars\":{{\"open_speedup_min\":50.0,\"maintain_ratio_max\":1.15}},\"bar_enforced\":true}}",
         stats.file_bytes,
         json_rss(mapped_rss),
         json_rss(owned_rss),

@@ -23,7 +23,7 @@
 //! comparison.
 //!
 //! Run with: `cargo run --release -p qsc-bench --bin bench_persist
-//! [-- --smoke] [--nodes N] [--threads T] [--seed S]`.
+//! [-- --smoke] [--nodes N] [--seed S]`.
 
 use std::time::Instant;
 
@@ -42,7 +42,6 @@ use rand::prelude::*;
 fn state_bytes(run: &RothkoRun<'_>, reduced: &ReducedDelta) -> Vec<u8> {
     let mut config = run.config().clone();
     config.initial = None;
-    config.threads = None; // recovery may rebuild the pool differently
     let data = CheckpointData {
         graph: run.graph().clone(),
         config,
@@ -80,7 +79,6 @@ fn main() {
         println!("bench_persist: warm restart (checkpoint + WAL replay) vs cold rebuild");
         println!("  --smoke      small instance, bit-identity asserts only (CI)");
         println!("  --nodes N    graph size (default 1_000_000; smoke 5_000)");
-        println!("  --threads T  engine threads (default 1)");
         println!("  --seed S     generator + churn seed (default 7)");
         println!(
             "  --layout L   checkpoint layout for the store: packed | mapped (default packed)"
@@ -93,9 +91,6 @@ fn main() {
         Some("mapped") => Layout::MappedRaw,
         Some(other) => panic!("unknown --layout {other:?} (expected packed | mapped)"),
     };
-    let threads: usize = arg_value(&args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
     let seed: u64 = arg_value(&args, "--seed")
         .and_then(|v| v.parse().ok())
         .unwrap_or(7);
@@ -129,14 +124,11 @@ fn main() {
     let edge_list: Vec<(u32, u32, f64)> =
         generators::barabasi_albert(n, ba_m, seed).edges().to_vec();
     let m = edge_list.len();
-    println!(
-        "instance: barabasi_albert n={n} m={m} seed={seed}, {colors} colors, {threads} thread(s)"
-    );
+    println!("instance: barabasi_albert n={n} m={m} seed={seed}, {colors} colors");
 
     let config = RothkoConfig {
         max_colors: colors,
         target_error: 0.0,
-        threads: Some(threads),
         storage: StorageMode::Auto,
         ..Default::default()
     };
@@ -235,7 +227,7 @@ fn main() {
         warm_pages(warm_bytes);
     }
     let t2 = Instant::now();
-    let rec = Store::recover(&dir, Some(threads)).expect("recover");
+    let rec = Store::recover(&dir, None).expect("recover");
     let warm_s = t2.elapsed().as_secs_f64();
     let speedup = cold_s / warm_s;
     println!(
@@ -280,7 +272,7 @@ fn main() {
         Layout::MappedRaw => "mapped_raw",
     };
     let row = format!(
-        "{{\"summary\":\"warm_restart_vs_cold_rebuild\",\"graph\":\"barabasi_albert\",\"nodes\":{n},\"edges\":{m},\"seed\":{seed},\"colors\":{colors},\"threads\":{threads},\"layout\":\"{layout_name}\",\"cold_rebuild_s\":{cold_s:.4},\"warm_restart_s\":{warm_s:.4},\"speedup\":{speedup:.2},\"checkpoint_file_bytes\":{},\"wal_file_bytes\":{wal_bytes},\"natural_column_bytes\":{},\"compression_ratio\":{:.3},\"layouts\":{layouts_json},\"encode_s\":{encode_s:.4},\"encode_mb_per_s\":{encode_mb_s:.1},\"restore_mb_per_s\":{decode_mb_s:.1},\"wal_records_replayed\":{},\"bit_identical\":true,\"host_cpus\":{},\"rss_available\":{},\"peak_rss_bytes\":{},\"bars\":{{\"speedup_min\":20.0,\"compression_min\":2.0}},\"bar_enforced\":true}}",
+        "{{\"summary\":\"warm_restart_vs_cold_rebuild\",\"graph\":\"barabasi_albert\",\"nodes\":{n},\"edges\":{m},\"seed\":{seed},\"colors\":{colors},\"layout\":\"{layout_name}\",\"cold_rebuild_s\":{cold_s:.4},\"warm_restart_s\":{warm_s:.4},\"speedup\":{speedup:.2},\"checkpoint_file_bytes\":{},\"wal_file_bytes\":{wal_bytes},\"natural_column_bytes\":{},\"compression_ratio\":{:.3},\"layouts\":{layouts_json},\"encode_s\":{encode_s:.4},\"encode_mb_per_s\":{encode_mb_s:.1},\"restore_mb_per_s\":{decode_mb_s:.1},\"wal_records_replayed\":{},\"bit_identical\":true,\"host_cpus\":{},\"rss_available\":{},\"peak_rss_bytes\":{},\"bars\":{{\"speedup_min\":20.0,\"compression_min\":2.0}},\"bar_enforced\":true}}",
         stats.file_bytes,
         stats.natural_bytes,
         stats.compression_ratio(),

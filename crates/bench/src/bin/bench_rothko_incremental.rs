@@ -10,13 +10,11 @@
 //! two serial code paths, so it is enforced on every host).
 //!
 //! Run with: `cargo run --release -p qsc-bench --bin bench_rothko_incremental
-//! [-- --smoke] [--threads T] [--batch B]` — `--smoke` runs a small
-//! instance and asserts only that both paths agree (no file, no bar; CI);
-//! `--threads` sets the incremental engine's worker count (the from-scratch
-//! reference has no engine), `--batch` the witness splits per
-//! synchronization round for both paths (they share selection, so the
-//! comparison stays apples-to-apples). Defaults 1/1 keep the recorded
-//! headline semantics.
+//! [-- --smoke] [--batch B]` — `--smoke` runs a small instance and
+//! asserts only that both paths agree (no file, no bar; CI); `--batch` sets
+//! the witness splits per synchronization round for both paths (they share
+//! selection, so the comparison stays apples-to-apples). The default 1
+//! keeps the recorded headline semantics.
 
 use qsc_bench::{arg_value, host_cpus, measure_rounds};
 use qsc_core::rothko::{Rothko, RothkoConfig};
@@ -55,14 +53,10 @@ fn main() {
     if args.iter().any(|a| a == "--help") {
         println!("bench_rothko_incremental: incremental engine vs from-scratch reference");
         println!("  --smoke      small instance, agreement asserts only (CI; no file, no bar)");
-        println!("  --threads T  engine worker threads (default 1; results bit-identical)");
         println!("  --batch B    witness splits per synchronization round (default 1)");
         return;
     }
     let smoke = args.iter().any(|a| a == "--smoke");
-    let threads: usize = arg_value(&args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
     let batch: usize = arg_value(&args, "--batch")
         .and_then(|v| v.parse().ok())
         .unwrap_or(1);
@@ -74,9 +68,7 @@ fn main() {
     let mut rows = Vec::new();
     for &(n, colors, reps) in rows_spec {
         let g = generators::barabasi_albert(n, 4, 7);
-        let config = RothkoConfig::with_max_colors(colors)
-            .threads(threads)
-            .batch(batch);
+        let config = RothkoConfig::with_max_colors(colors).batch(batch);
 
         let incremental = measure_rounds(reps, || {
             let c = Rothko::new(config.clone()).run(&g);
@@ -117,10 +109,10 @@ fn main() {
         println!("smoke OK: both paths agree (no JSON, no bar)");
         return;
     }
-    if threads != 1 || batch != 1 {
+    if batch != 1 {
         // The recorded JSON and its acceptance bar are pinned to the
         // default configuration; exploratory runs only print.
-        println!("non-default threads/batch: BENCH_rothko.json left untouched, no bar");
+        println!("non-default batch: BENCH_rothko.json left untouched, no bar");
         return;
     }
     let mut json: Vec<String> = rows.iter().map(Row::to_json).collect();

@@ -20,10 +20,7 @@
 //! checks only, no file, no bar) for CI.
 //!
 //! Run with: `cargo run --release -p qsc-bench --bin bench_sweep [-- --smoke]
-//! [--threads T] [--batch B]` — `--threads` drives every coloring engine in
-//! the pipeline through the parallel sharded paths (via `QSC_THREADS`;
-//! results are bit-identical by construction, so all equality assertions
-//! still hold). `--batch` is accepted for symmetry with the other drivers
+//! [--batch B]` — `--batch` is accepted for symmetry with the other drivers
 //! but only `1` is valid here: the warm/cold equivalence this benchmark
 //! asserts is defined by the strict greedy split order, which batched
 //! rounds intentionally relax.
@@ -198,15 +195,8 @@ fn main() {
     if args.iter().any(|a| a == "--help") {
         println!("bench_sweep: warm-started sweep pipeline vs per-budget cold pipeline");
         println!("  --smoke      tiny instances, equality checks only (CI)");
-        println!("  --threads T  engine worker threads for every coloring in the pipeline");
         println!("  --batch B    accepted for driver symmetry; must be 1 (see module docs)");
         return;
-    }
-    if let Some(t) = qsc_bench::arg_value(&args, "--threads") {
-        // The sweep pipeline builds its Rothko configs inside qsc-flow /
-        // qsc-lp; the engine's QSC_THREADS default is the supported way to
-        // reach them all. Safe: set before any engine exists.
-        std::env::set_var("QSC_THREADS", t);
     }
     if let Some(b) = qsc_bench::arg_value(&args, "--batch") {
         assert_eq!(

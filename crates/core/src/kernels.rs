@@ -9,8 +9,8 @@
 //!
 //! * [`fold_minmax_row`] — fold one member's accumulator row into per-color
 //!   min/max/attainer/nonzero aggregates. This is *the* member-axis rescan
-//!   kernel: the dense serial scan, the sparse degrees-only rebuild and the
-//!   sharded workers (symmetric and directed modes) all route through it,
+//!   kernel: the dense scan and the sparse degrees-only rebuild (symmetric
+//!   and directed modes) both route through it,
 //!   which both deduplicates the scan logic and hands LLVM a branch-free
 //!   column loop it can vectorize (compare + blend per lane).
 //! * [`fold_minmax_sparse_row`] — the same member-axis fold over a tiered
@@ -35,10 +35,9 @@
 //!   the sequential first-attainer index; the β = 0 witness-row scan.
 //! * [`prefetch_read`] — best-effort L1 prefetch hint for pointer-chasing
 //!   loops (the split apply phase); never changes results.
-//! * [`gather_stats`] / [`gather_stats_fast`] — sum + min/max of gathered
-//!   per-node values (the witness-split degree scan); the deterministic
-//!   variant sums through the canonical blocked tree, the fast variant
-//!   (behind `RothkoConfig::fast_math`) relaxes the reduction order.
+//! * [`gather_stats`] — sum + min/max of gathered per-node values (the
+//!   witness-split degree scan); the sum runs through the canonical blocked
+//!   tree.
 //!
 //! ## Determinism
 //!
@@ -62,9 +61,7 @@
 //! check per 8-wide block remains — the spot-check notes in
 //! [`qsc_linalg::lanes`] cover the emitted assembly).
 
-pub use qsc_linalg::lanes::{
-    combine_tree, dot, dot_fast, fold_add, fold_sub, max_abs, min_max, sum, sum_fast, LANES,
-};
+pub use qsc_linalg::lanes::{combine_tree, dot, fold_add, fold_sub, max_abs, min_max, sum, LANES};
 
 use crate::storage::RowRep;
 
@@ -310,9 +307,8 @@ pub fn fold_minmax_sparse_row(
 /// explicit-zero rows would — a zero extremum simply carries `NO_ARG`
 /// instead of the first member attaining it (the engine's conservative
 /// "unknown attainer" sentinel, which forces a rescan instead of a wrong
-/// answer). Because the zero fold depends only on `member_count` and the
-/// per-column nonzero counts — not on which worker folded which member —
-/// sharded sparse rebuilds stay deterministic across thread counts.
+/// answer). The zero fold depends only on `member_count` and the
+/// per-column nonzero counts, never on the order members were folded in.
 pub fn fold_zero_tail(
     member_count: u32,
     k: usize,
@@ -548,8 +544,7 @@ pub fn row_err_argmax(maxs: &[f64], mins: &[f64]) -> (f64, u32) {
 /// Sum + min/max of `vals[u]` gathered over a member list.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GatherStats {
-    /// Sum of the gathered values (canonical blocked tree in
-    /// [`gather_stats`], unspecified order in [`gather_stats_fast`]).
+    /// Sum of the gathered values (canonical blocked tree).
     pub sum: f64,
     /// Strict-compare minimum in member order (`INFINITY` when empty).
     pub min: f64,
@@ -578,27 +573,6 @@ pub fn gather_stats(members: &[u32], vals: &[f64]) -> GatherStats {
     }
     let mut sum = combine_tree(&lanes_acc);
     for &u in it.remainder() {
-        let d = vals[u as usize];
-        sum += d;
-        mn = if d < mn { d } else { mn };
-        mx = if d > mx { d } else { mx };
-    }
-    GatherStats {
-        sum,
-        min: mn,
-        max: mx,
-    }
-}
-
-/// [`gather_stats`] with an *unspecified* summation order (fast-math escape
-/// hatch — only `RothkoConfig::fast_math` paths may call this). Min/max
-/// semantics are unchanged.
-#[must_use]
-pub fn gather_stats_fast(members: &[u32], vals: &[f64]) -> GatherStats {
-    let mut sum = 0.0f64;
-    let mut mn = f64::INFINITY;
-    let mut mx = f64::NEG_INFINITY;
-    for &u in members {
         let d = vals[u as usize];
         sum += d;
         mn = if d < mn { d } else { mn };

@@ -19,21 +19,21 @@
 //! * [`IncrementalDegrees`] — the incremental refinement engine: degree
 //!   matrices and witness candidates maintained in `O(touched)` per split
 //!   instead of recomputed from the graph; both Rothko and the stable
-//!   coloring drive their refinement through it. Multi-threaded engines
-//!   shard the update phases across a fork-join pool with bit-identical
-//!   results (see [`q_error`]'s "Parallel sharded refinement"). The same
-//!   engine absorbs *graph* deltas: `apply_edge_batch` patches its state
-//!   for batched edge insert/delete/reweight events without touching the
-//!   graph, and [`RothkoRun::apply_edge_batch`] + `maintain` keep a
-//!   running (q, k) coloring valid under churn instead of recomputing.
+//!   coloring drive their refinement through it. The same engine absorbs
+//!   *graph* deltas: `apply_edge_batch` patches its state for batched
+//!   edge insert/delete/reweight events without touching the graph, and
+//!   [`RothkoRun::apply_edge_batch`] + `maintain` keep a running (q, k)
+//!   coloring valid under churn instead of recomputing.
 //! * [`kernels`] — the lane-kernel substrate under the engine's hot
 //!   paths: blocked f64 folds, min/max scans with first-attainer
 //!   witnesses, grouped gathers, and blocked sums over the canonical
 //!   reduction tree (shared with `qsc_linalg::lanes`, so the LP solvers
 //!   reduce through the same code). See the module's determinism notes
 //!   and [`q_error`]'s "Lane-kernel hot paths" for measured numbers.
-//! * [`parallel`] — the minimal persistent fork-join pool behind the
-//!   sharded engine (`QSC_THREADS` sets the default worker count).
+//! * [`mmap`] — read-only file maps (`MappedFile`/`MappedSlice`) behind
+//!   the borrowed-column checkpoint restore.
+//! * [`storage`] — the accumulator storage tiers ([`StorageMode`],
+//!   [`storage::RowRep`]).
 //! * [`similarity`] — the `∼` relations of Definition 1 (exact, absolute `q`,
 //!   relative `ε`, bisimulation, clamped congruence).
 //! * [`stable::stable_coloring`] — classical color refinement (1-WL).
@@ -118,21 +118,19 @@
 //! [`RothkoRun::snapshot`], [`ReducedDelta::snapshot`] (and
 //! `qsc_lp::sweep::ReducedLpDelta::snapshot`) capture each layer's exact
 //! logical state — accumulators, pair summaries with their witnesses,
-//! partition member order, pending dirty sets — as plain columnar
-//! structs, and the matching `from_snapshot` constructors rebuild the
-//! layer bit-identically (derived caches restart dirty and are
-//! recomputed; strides and thread pools are reconstructed, neither is
-//! observable). The `qsc-persist` crate turns those snapshots into an
-//! on-disk format: a columnar checkpoint (delta+varint encoded,
-//! CRC-guarded blocks) plus a write-ahead log of the *input* event
-//! batches ([`qsc_graph::delta::EdgeEvent`] / node churn / maintain
-//! calls) appended as they are applied. A warm restart loads the
+//! partition member order, pending dirty sets — as plain columnar structs,
+//! and the matching `from_snapshot` constructors rebuild the layer
+//! bit-identically (derived caches restart dirty and are recomputed;
+//! strides are reconstructed and not observable). The `qsc-persist` crate
+//! turns those snapshots into an on-disk format: a columnar checkpoint
+//! (delta+varint encoded, CRC-guarded blocks) plus a write-ahead log of the
+//! *input* event batches ([`qsc_graph::delta::EdgeEvent`] / node churn /
+//! maintain calls) appended as they are applied. A warm restart loads the
 //! checkpoint columns straight back into `Graph` / [`Partition`] /
-//! [`IncrementalDegrees`] / [`ReducedDelta`] state and replays the WAL
-//! tail through the same public API the writer used — the determinism
-//! contract below is what makes the replayed state bit-identical to the
-//! writer's, so restart skips the full build at the cost of reading a
-//! file.
+//! [`IncrementalDegrees`] / [`ReducedDelta`] state and replays the WAL tail
+//! through the same public API the writer used — the determinism contract
+//! below is what makes the replayed state bit-identical to the writer's, so
+//! restart skips the full build at the cost of reading a file.
 //!
 //! **Borrowed columns.** The restore path does not even have to *read*
 //! the file eagerly: every `Graph` column and the engine's persisted
@@ -146,28 +144,27 @@
 //! borrows the CSR and `dout`/`din` planes in place and the OS page
 //! cache — not the heap — bounds the working set: graphs whose CSR
 //! exceeds RAM still open in O(1). Owned and mapped stacks run the same
-//! code paths (`Deref<Target = [T]>`) and are bit-identical at every
-//! thread count; the engine hints paging (`advise`) ahead of whole-axis
-//! sweeps and touched-list scans, and the first mutation after a mapped
-//! restart compacts to owned columns at the `GraphStore` swap boundary
-//! (copy-on-write), leaving the mutation path untouched.
+//! code paths (`Deref<Target = [T]>`) and are bit-identical; the engine
+//! hints paging (`advise`) ahead of whole-axis sweeps and touched-list
+//! scans, and the first mutation after a mapped restart compacts to owned
+//! columns at the `GraphStore` swap boundary (copy-on-write), leaving the
+//! mutation path untouched.
 //!
 //! **Determinism contract.** Every event consumer must uphold what the
 //! engine guarantees: applying an event sequence leaves state *bit
 //! identical* (for exactly representable weights; up to float
 //! associativity otherwise) to a fresh rebuild on the resulting
-//! graph/partition, for every thread count. Concretely: shard merges use
-//! exact min/max/or/sum reductions in shard order; witness and merge-pair
-//! selection break ties lexicographically; member and touched orderings
-//! are pure functions of the input (never of the thread count); and
-//! color/node renumbering is the fixed relabel-last/order-preserving rule
-//! above. Floating-point *sums* follow one canonical blocked reduction
-//! tree (`qsc_linalg::lanes::sum` — fixed lane count, fixed combine
-//! order, independent of thread count and hardware), so "up to float
-//! associativity" never means "up to whatever the optimizer felt like":
-//! the only reassociating variants are the explicit `*_fast` kernels
-//! behind the opt-in `RothkoConfig::fast_math`. This is what lets maintained runs be cross-checked against
-//! fresh-from-checkpoint runs at every churn round
+//! graph/partition. Concretely: witness and merge-pair selection break
+//! ties lexicographically; member and touched orderings are pure
+//! functions of the input; large touched sets accumulate their weight
+//! deltas in fixed-size chunks merged in chunk order; and color/node
+//! renumbering is the fixed relabel-last/order-preserving rule above.
+//! Floating-point *sums* follow one canonical blocked reduction tree
+//! (`qsc_linalg::lanes::sum` — fixed lane count, fixed combine order,
+//! independent of hardware), so "up to float associativity" never means
+//! "up to whatever the optimizer felt like". This is what lets maintained
+//! runs be cross-checked against fresh-from-checkpoint runs at every churn
+//! round
 //! (`tests/tests/dynamic_graph.rs`, `tests/tests/merge_refine.rs`) and
 //! lets warm sweeps stay bit-identical to cold re-emission
 //! (`tests/tests/sweep_equivalence.rs`).
@@ -177,25 +174,19 @@
 //! The determinism and unsafety contracts above are *mechanically
 //! enforced*, not aspirational:
 //!
-//! * **Statically** — the workspace's own lint pass (`cargo run -p
-//!   qsc-audit`) scans every crate for contract violations: `unsafe`
-//!   without an adjacent `// SAFETY:` argument, iteration over hash
-//!   containers in result-feeding crates (ordering leaks), raw f64 sums
-//!   outside `qsc_linalg::lanes` (reduction-tree leaks), wall-clock reads
-//!   outside bench/report code, and panicking input handling in
-//!   IO/parser modules. CI runs it with `--deny-warnings`; exceptions
-//!   require an inline `// qsc-audit: allow(<rule>) -- <justification>`
-//!   with a written justification.
-//! * **Dynamically** — with the `audit` feature enabled, every
-//!   [`parallel::SyncSliceMut`] claim is published to a lock-free
-//!   interval log and cross-thread overlapping claims abort the process
-//!   with both call sites. The ordinary parallel test suites, run with
-//!   `--features audit`, thereby double as soundness tests for the
-//!   "shards write provably disjoint index sets" arguments.
+//! * The workspace's own lint pass (`cargo run -p qsc-audit`) scans every
+//!   crate for contract violations: `unsafe` without an adjacent
+//!   `// SAFETY:` argument, iteration over hash containers in
+//!   result-feeding crates (ordering leaks), raw f64 sums outside
+//!   `qsc_linalg::lanes` (reduction-tree leaks), wall-clock reads outside
+//!   bench/report code, and panicking input handling in IO/parser modules.
+//!   CI runs it with `--deny-warnings`; exceptions require an inline
+//!   `// qsc-audit: allow(<rule>) -- <justification>` with a written
+//!   justification.
 //! * This crate and `qsc-linalg` set `#![deny(unsafe_op_in_unsafe_fn)]`;
 //!   every other workspace crate is `#![forbid(unsafe_code)]`. The only
-//!   unsafe in the tree is this crate's fork-join pool and
-//!   [`parallel::SyncSliceMut`].
+//!   unsafe in the tree is this crate's [`mmap`] module (the raw map
+//!   syscalls) and the prefetch hint in [`kernels`].
 //!
 //! ## Quick example
 //!
@@ -213,11 +204,8 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-#[cfg(feature = "audit")]
-mod audit;
 pub mod kernels;
 pub mod mmap;
-pub mod parallel;
 pub mod partition;
 pub mod q_error;
 pub mod reduced;

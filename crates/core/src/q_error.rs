@@ -165,12 +165,12 @@
 //!   sorted nonzero `(color, weight)` vectors at 16 bytes per *nonzero*
 //!   entry, with rows that reach half the color capacity promoted to
 //!   plain slot arrays (hot rows keep dense probe cost). All apply paths
-//!   (split/merge/node-churn/edge-batch, serial and sharded), the member
-//!   scans, emission reads and `q_report()` go through
-//!   [`crate::kernels`]' sparse gather variants, which preserve the
-//!   member-order/first-attainer fold contract — so both layouts produce
-//!   bit-identical colorings, witnesses and error bits at every thread
-//!   count (`tests/tests/storage_modes.rs` pins this over mixed traces).
+//!   (split/merge/node-churn/edge-batch), the member scans, emission
+//!   reads and `q_report()` go through [`crate::kernels`]' sparse gather
+//!   variants, which preserve the member-order/first-attainer fold
+//!   contract — so both layouts produce bit-identical colorings, witnesses
+//!   and error bits (`tests/tests/storage_modes.rs` pins this over mixed
+//!   traces).
 //!
 //! Measured on the `bench_memory` BA ladder (m = 10, k = 200, engine
 //! resident bytes, avg row ≈ 20 nonzeros ≈ 330 B/node sparse vs 2 KiB
@@ -187,46 +187,6 @@
 //! `Auto` mode gates on projected dense footprint: below ~256 MiB the
 //! dense matrix is what caches were built for and `Auto` resolves dense;
 //! past it the sparse tier is both the memory wall's fix *and* faster.
-//!
-//! # Parallel sharded refinement
-//!
-//! Engines built with more than one thread
-//! ([`IncrementalDegrees::new_with_threads`]) shard the four data-parallel
-//! phases of a split across a persistent fork-join pool
-//! ([`crate::parallel::ThreadPool`]):
-//!
-//! * **Touched collection** — the moved-node list is cut into fixed-size
-//!   chunks (chunk size = the touched threshold, *never* the thread
-//!   count); each chunk is deduped with a generation-stamped seen-bitmap
-//!   into a `(neighbor, chunk-local delta)` list, the chunks fan out
-//!   across the pool round-robin, and the lists merge in chunk order.
-//!   Chunk boundaries and merge order are pure functions of the input, so
-//!   both the touched ordering and the accumulated weight deltas are
-//!   bit-identical for every thread count — on arbitrary float weights.
-//! * **Accumulator deltas** — the touched-node list is chunked
-//!   contiguously; each worker applies its nodes' parent→child mass shifts
-//!   (each node appears in exactly one chunk, so the row writes are
-//!   disjoint) and folds per-color partial aggregates (counts, zero
-//!   crossings, extension min/max with attainers, child-column min/max,
-//!   lost-extremum flags) into shard-local records.
-//! * **Member-axis scans** — the child color's axis rebuild chunks the
-//!   member list, each worker folding a full `k`-column min/max row.
-//! * **Entry rescans** — queued lost-extremum columns are distributed
-//!   whole-entry-per-worker.
-//! * **Witness refresh** — stale rows are independent `O(k)` scans writing
-//!   disjoint cache slots.
-//!
-//! At every join the caller merges shard results *in shard order* using
-//! only exact reductions — min/max (selections, no arithmetic), sums of
-//! disjoint counts, logical or — and strict comparisons keep the
-//! first-shard attainer on ties, which equals the serial first-member
-//! attainer. Results are therefore **bit-identical for every thread
-//! count**, witness sequence included; `tests/tests/parallel_engine.rs`
-//! pins this across thread counts {1, 2, 8} and batch sizes {1, 4}, and
-//! the per-split debug cross-check ([`IncrementalDegrees::verify_against`])
-//! covers the sharded paths too. Small regions run inline — the dispatch
-//! thresholds ([`IncrementalDegrees::set_parallel_thresholds`]) only trade
-//! scheduling, never semantics.
 //!
 //! # Witness-cache profiling
 //!
@@ -260,8 +220,8 @@
 //! decreasing order of measured profit:
 //!
 //! * **Member-axis rescans** fold whole accumulator rows through
-//!   `fold_minmax_row` (dense serial, sharded workers, and the sparse
-//!   degrees-only rebuild share it).
+//!   `fold_minmax_row` (the dense scan and the sparse degrees-only rebuild
+//!   share it).
 //! * **Witness-row scans** at β = 0 collapse to one contiguous
 //!   max-spread pass ([`crate::kernels::row_err_argmax`]) instead of the
 //!   per-column weighted compare.
@@ -286,14 +246,12 @@
 //! governor and reports best-of-5 with raw rounds recorded.
 
 use crate::kernels;
-use crate::parallel::{chunk_range, default_threads, SyncSliceMut, ThreadPool};
 use crate::partition::{MergeEvent, Partition, SplitEvent};
 use crate::similarity::Similarity;
 use crate::storage::{ResolvedStorage, RowRep, StorageMode};
 use qsc_graph::delta::{EdgeEvent, NodeRemap};
 use qsc_graph::{ColumnAdvice, ColumnBuf, Graph, NodeId};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Sentinel for "extremum attainer unknown" in the pair-summary witness
 /// arrays (forces the conservative rescan heuristic for that entry).
@@ -882,7 +840,7 @@ struct EdgeEntryPatch {
 /// let scratch = DegreeMatrices::compute(&g, &p);
 /// assert_eq!(engine.out_error(0, 1), scratch.out_error(0, 1));
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct IncrementalDegrees {
     n: usize,
     k: usize,
@@ -995,23 +953,10 @@ pub struct IncrementalDegrees {
     row_scratch: Vec<f64>,
     row_arg_scratch: Vec<u32>,
     row_nz_scratch: Vec<u32>,
-    /// Fork-join pool for the sharded split/refresh phases (`None` in serial
-    /// engines). Shared scheduling only — every parallel region reduces
-    /// per-shard summaries with exact operations, so results are
-    /// bit-identical across thread counts (see the module docs).
-    pool: Option<Arc<ThreadPool>>,
-    /// Per-worker shard scratch for the parallel phases (empty in serial
-    /// engines).
-    shard_scratch: Vec<ShardScratch>,
-    /// Parallel-dispatch thresholds (see [`Self::set_parallel_thresholds`]).
-    par_min_touched: usize,
-    par_min_scan_work: usize,
-    /// Reusable per-split scratch lists (queued rescans per direction, and
-    /// the refresh's stale-row list) — kept on the engine so the split
-    /// path stays allocation-free.
+    /// Reusable per-split scratch lists (queued rescans per direction) —
+    /// kept on the engine so the split path stays allocation-free.
     entry_scratch_out: Vec<(u32, u32)>,
     entry_scratch_in: Vec<(u32, u32)>,
-    dirty_scratch: Vec<u32>,
     /// Edge-batch scratch: per-direction patched-entry records and their
     /// entry-index → record-slot maps, plus the per-(node, column)
     /// combined-delta lists (capacity reused across batches).
@@ -1081,9 +1026,7 @@ impl RowsSnapshot {
 /// `row_best`), which a restored engine marks all-dirty — the next
 /// [`IncrementalDegrees::refresh`] recomputes them from the summary
 /// entries, a pure function, so the recomputed values are bit-identical
-/// to the writer's; every per-event scratch buffer; and the thread pool
-/// (rebuilt from the restore-time thread count — the determinism
-/// contract makes results independent of it).
+/// to the writer's; and every per-event scratch buffer.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EngineSnapshot {
     /// Node count.
@@ -1139,67 +1082,15 @@ pub struct EngineSnapshot {
     pub in_nz: Vec<u32>,
 }
 
-/// Per-worker scratch used by the parallel split/refresh phases.
-#[derive(Clone, Debug, Default)]
-struct ShardScratch {
-    /// Self-validating `color -> record index` slots (mirrors `color_slot`).
-    slot: Vec<u32>,
-    /// Per-touched-color partial aggregates produced by this shard.
-    records: Vec<ShardRecord>,
-    /// Member-axis min/max merge rows (4 × cap), their witnesses, and the
-    /// per-column nonzero counts (2 × cap).
-    axis: Vec<f64>,
-    axis_arg: Vec<u32>,
-    axis_nz: Vec<u32>,
-    /// Chunked touched-collection worker state: a generation-stamped
-    /// seen-bitmap (lazily sized to `n`) and per-node partial weight
-    /// deltas, reused across the chunks this worker processes.
-    seen_stamp: Vec<u32>,
-    seen_gen: u32,
-    delta: Vec<f64>,
-}
-
-/// One shard's partial aggregate for a touched color during the parallel
-/// accumulator phase. Merged at the join with exact min/max/or/sum
-/// reductions, so the merged result is independent of the shard count.
-#[derive(Clone, Copy, Debug)]
-struct ShardRecord {
-    color: u32,
-    /// Distinct touched members of this color seen by this shard.
-    count: usize,
-    /// Min/max over the shard's *new* parent-column values, with attainers
-    /// (extension candidates for the entry extrema).
-    ext_min: f64,
-    ext_max: f64,
-    ext_min_arg: u32,
-    ext_max_arg: u32,
-    /// Min/max over the shard's child-column values, with attainers.
-    child_min: f64,
-    child_max: f64,
-    child_min_arg: u32,
-    child_max_arg: u32,
-    /// Net zero-crossing count change and non-zero child values seen.
-    nz_delta: i64,
-    child_nonzero: u32,
-    /// Whether this shard observed a lost-extremum condition on either
-    /// side (see [`TouchedColor::rescan_min`]), evaluated against the
-    /// batch-start entry state.
-    rescan_min: bool,
-    rescan_max: bool,
-}
-
-/// Minimum number of touched nodes before a split's accumulator phase is
-/// sharded across the pool (smaller batches run serially — the fork-join
-/// handshake would cost more than the work).
-const PAR_MIN_TOUCHED: usize = 2048;
-
-/// Minimum total scan work (entries × members, or rows × colors) before a
-/// member-scan or witness-refresh batch is sharded.
-const PAR_MIN_SCAN_WORK: usize = 16384;
+/// Chunk size of the canonical chunked touched-collection (see
+/// [`IncrementalDegrees::collect_touched`]): moved lists at least this long
+/// accumulate their per-neighbor weight deltas chunk by chunk. The value
+/// fixes the f64 association of those sums, so changing it changes results
+/// on non-dyadic weights.
+const TOUCHED_CHUNK: usize = 2048;
 
 /// A read-only view of the pair-summary matrices, so the witness-refresh
-/// scans can run from worker threads while the caller holds the row caches
-/// mutably.
+/// scans can read them while the caller holds the row caches mutably.
 struct SummaryView<'a> {
     k: usize,
     cap: usize,
@@ -1267,8 +1158,8 @@ impl SummaryView<'_> {
     }
 
     /// One witness row scan: the row's maximum unweighted error and its
-    /// best β-weighted candidate. This is *the* row scan — serial refresh,
-    /// sharded refresh and the reference stepper all route through the same
+    /// best β-weighted candidate. This is *the* row scan — the engine's
+    /// refresh and the reference stepper both route through the same
     /// operation order, which is what keeps their picks bit-identical.
     fn scan_row(&self, p: &Partition, s: usize, beta: f64) -> (f64, Option<RowBest>) {
         let splittable = p.size(s as u32) >= 2;
@@ -1359,173 +1250,12 @@ impl SummaryView<'_> {
     }
 }
 
-impl ShardScratch {
-    /// Fold one touched node into this shard's per-color aggregates during
-    /// the sharded accumulator phase. `orig_*`/`arg_*` are the entry's
-    /// batch-start extrema and tracked attainers (entries are only mutated
-    /// at the join, so workers read a consistent snapshot).
-    #[allow(clippy::too_many_arguments)]
-    fn fold(
-        &mut self,
-        color: u32,
-        u: NodeId,
-        old: f64,
-        new: f64,
-        child_val: f64,
-        orig_min: f64,
-        orig_max: f64,
-        arg_min: u32,
-        arg_max: u32,
-    ) {
-        let slot = self.slot[color as usize] as usize;
-        let slot = if slot < self.records.len() && self.records[slot].color == color {
-            slot
-        } else {
-            let fresh = self.records.len();
-            self.slot[color as usize] = fresh as u32;
-            self.records.push(ShardRecord::fresh(color));
-            fresh
-        };
-        let r = &mut self.records[slot];
-        r.count += 1;
-        if (old == 0.0) != (new == 0.0) {
-            r.nz_delta += if new != 0.0 { 1 } else { -1 };
-        }
-        if child_val != 0.0 {
-            r.child_nonzero += 1;
-        }
-        if new < r.ext_min {
-            r.ext_min = new;
-            r.ext_min_arg = u;
-        }
-        if new > r.ext_max {
-            r.ext_max = new;
-            r.ext_max_arg = u;
-        }
-        if child_val < r.child_min {
-            r.child_min = child_val;
-            r.child_min_arg = u;
-        }
-        if child_val > r.child_max {
-            r.child_max = child_val;
-            r.child_max_arg = u;
-        }
-        if new < old {
-            if old == orig_max && (arg_max == NO_ARG || arg_max == u) {
-                r.rescan_max = true;
-            }
-        } else if new > old && old == orig_min && (arg_min == NO_ARG || arg_min == u) {
-            r.rescan_min = true;
-        }
-    }
-}
-
-impl ShardRecord {
-    fn fresh(color: u32) -> Self {
-        ShardRecord {
-            color,
-            count: 0,
-            ext_min: f64::INFINITY,
-            ext_max: f64::NEG_INFINITY,
-            ext_min_arg: NO_ARG,
-            ext_max_arg: NO_ARG,
-            child_min: f64::INFINITY,
-            child_max: f64::NEG_INFINITY,
-            child_min_arg: NO_ARG,
-            child_max_arg: NO_ARG,
-            nz_delta: 0,
-            child_nonzero: 0,
-            rescan_min: false,
-            rescan_max: false,
-        }
-    }
-}
-
-impl Clone for IncrementalDegrees {
-    /// Clones share no thread pool: each clone gets its own (same slot
-    /// count), since a pool's fork-join handshake serves one engine at a
-    /// time.
-    fn clone(&self) -> Self {
-        IncrementalDegrees {
-            n: self.n,
-            k: self.k,
-            cap: self.cap,
-            dout: self.dout.clone(),
-            din: self.din.clone(),
-            sparse_out: self.sparse_out.clone(),
-            sparse_in: self.sparse_in.clone(),
-            sparse_accum: self.sparse_accum,
-            promote: self.promote,
-            out_min: self.out_min.clone(),
-            out_max: self.out_max.clone(),
-            in_min: self.in_min.clone(),
-            in_max: self.in_max.clone(),
-            out_min_arg: self.out_min_arg.clone(),
-            out_max_arg: self.out_max_arg.clone(),
-            in_min_arg: self.in_min_arg.clone(),
-            in_max_arg: self.in_max_arg.clone(),
-            out_nz: self.out_nz.clone(),
-            in_nz: self.in_nz.clone(),
-            symmetric: self.symmetric,
-            track_summaries: self.track_summaries,
-            last_beta: self.last_beta,
-            row_max_err: self.row_max_err.clone(),
-            row_best: self.row_best.clone(),
-            row_err_dirty: self.row_err_dirty.clone(),
-            row_best_dirty: self.row_best_dirty.clone(),
-            node_stamp: self.node_stamp.clone(),
-            node_delta: self.node_delta.clone(),
-            stamp_gen: self.stamp_gen,
-            node_mark: self.node_mark.clone(),
-            mark_gen: self.mark_gen,
-            touched_nodes: self.touched_nodes.clone(),
-            touched_deltas: self.touched_deltas.clone(),
-            color_slot: self.color_slot.clone(),
-            touched_colors: self.touched_colors.clone(),
-            row_scratch: self.row_scratch.clone(),
-            row_arg_scratch: self.row_arg_scratch.clone(),
-            row_nz_scratch: self.row_nz_scratch.clone(),
-            pool: self
-                .pool
-                .as_ref()
-                .map(|p| Arc::new(ThreadPool::new(p.slots()))),
-            shard_scratch: self.shard_scratch.clone(),
-            par_min_touched: self.par_min_touched,
-            par_min_scan_work: self.par_min_scan_work,
-            entry_scratch_out: self.entry_scratch_out.clone(),
-            entry_scratch_in: self.entry_scratch_in.clone(),
-            dirty_scratch: self.dirty_scratch.clone(),
-            edge_patches_out: self.edge_patches_out.clone(),
-            edge_patches_in: self.edge_patches_in.clone(),
-            edge_slot_out: self.edge_slot_out.clone(),
-            edge_slot_in: self.edge_slot_in.clone(),
-            edge_acc_out: self.edge_acc_out.clone(),
-            edge_acc_in: self.edge_acc_in.clone(),
-            edge_acc_slot_out: self.edge_acc_slot_out.clone(),
-            edge_acc_slot_in: self.edge_acc_slot_in.clone(),
-            chunk_out: self.chunk_out.clone(),
-            merge_scratch: self.merge_scratch.clone(),
-            merge_scratch_in: self.merge_scratch_in.clone(),
-        }
-    }
-}
-
 impl IncrementalDegrees {
     /// Build the full engine (accumulators + pair summaries + witness
-    /// cache) for partition `p` on `g` in `O(n·k + m)` time. The number of
-    /// worker threads for the sharded split/refresh phases defaults to the
-    /// `QSC_THREADS` environment variable (1 when unset); see
-    /// [`Self::new_with_threads`] for explicit control.
+    /// cache) for partition `p` on `g` in `O(n·k + m)` time, with dense
+    /// accumulator storage.
     pub fn new(g: &Graph, p: &Partition) -> Self {
-        Self::with_mode(g, p, true, default_threads(), ResolvedStorage::Dense)
-    }
-
-    /// Build the full engine with an explicit worker count for the sharded
-    /// split/refresh phases. `threads <= 1` builds a serial engine. Results
-    /// are bit-identical for every thread count — the shards reduce with
-    /// exact min/max/or merges (see the module docs).
-    pub fn new_with_threads(g: &Graph, p: &Partition, threads: usize) -> Self {
-        Self::with_mode(g, p, true, threads, ResolvedStorage::Dense)
+        Self::with_mode(g, p, true, ResolvedStorage::Dense)
     }
 
     /// Build the full engine with an explicit accumulator [`StorageMode`]
@@ -1540,7 +1270,6 @@ impl IncrementalDegrees {
     pub fn new_with_storage(
         g: &Graph,
         p: &Partition,
-        threads: usize,
         storage: StorageMode,
         color_hint: usize,
     ) -> Self {
@@ -1549,7 +1278,7 @@ impl IncrementalDegrees {
         let hint_cap = color_hint.clamp(k, n.max(1)).next_power_of_two().max(4);
         let dirs = if g.is_directed() { 2 } else { 1 };
         let resolved = storage.resolve(n, g.num_arcs(), hint_cap, dirs);
-        Self::with_mode(g, p, true, threads, resolved)
+        Self::with_mode(g, p, true, resolved)
     }
 
     /// Build a degrees-only engine: per-node *sparse* accumulator rows
@@ -1559,14 +1288,13 @@ impl IncrementalDegrees {
     /// accumulator values and never ask for errors, so near-discrete
     /// colorings (`k → n`) stay affordable in both time and memory.
     pub fn new_degrees_only(g: &Graph, p: &Partition) -> Self {
-        Self::with_mode(g, p, false, 1, ResolvedStorage::Sparse)
+        Self::with_mode(g, p, false, ResolvedStorage::Sparse)
     }
 
     fn with_mode(
         g: &Graph,
         p: &Partition,
         track_summaries: bool,
-        threads: usize,
         storage: ResolvedStorage,
     ) -> Self {
         let n = g.num_nodes();
@@ -1583,7 +1311,6 @@ impl IncrementalDegrees {
         };
         let in_cap = if symmetric { 0 } else { dense_cap };
         let in_mat_cap = if symmetric { 0 } else { mat_cap };
-        let threads = threads.max(1);
         let mut engine = IncrementalDegrees {
             n,
             k,
@@ -1623,17 +1350,8 @@ impl IncrementalDegrees {
             row_scratch: vec![0.0; 4 * mat_cap],
             row_arg_scratch: vec![NO_ARG; 4 * mat_cap],
             row_nz_scratch: vec![0; 2 * mat_cap],
-            pool: (track_summaries && threads > 1).then(|| Arc::new(ThreadPool::new(threads))),
-            shard_scratch: if track_summaries && threads > 1 {
-                vec![ShardScratch::default(); threads]
-            } else {
-                Vec::new()
-            },
-            par_min_touched: PAR_MIN_TOUCHED,
-            par_min_scan_work: PAR_MIN_SCAN_WORK,
             entry_scratch_out: Vec::new(),
             entry_scratch_in: Vec::new(),
-            dirty_scratch: Vec::new(),
             edge_patches_out: Vec::new(),
             edge_patches_in: Vec::new(),
             edge_slot_out: HashMap::new(),
@@ -1818,11 +1536,10 @@ impl IncrementalDegrees {
     /// Rebuild an engine from a snapshot, bit-identical to the one that
     /// produced it.
     ///
-    /// The capacity stride, scratch buffers, and thread pool are
-    /// reconstructed exactly as the engine constructor would build them;
-    /// the witness-row caches start all-dirty and the first refresh
-    /// recomputes them deterministically. `threads` may differ from the
-    /// writer's — results do not depend on it.
+    /// The capacity stride and scratch buffers are reconstructed exactly
+    /// as the engine constructor would build them; the witness-row caches
+    /// start all-dirty and the first refresh recomputes them
+    /// deterministically.
     ///
     /// # Panics
     /// On snapshots whose column lengths are inconsistent with their
@@ -1830,7 +1547,7 @@ impl IncrementalDegrees {
     /// before constructing a snapshot; this is a backstop against
     /// programmer error, not a parser.
     #[must_use]
-    pub fn from_snapshot(snap: &EngineSnapshot, threads: usize) -> Self {
+    pub fn from_snapshot(snap: &EngineSnapshot) -> Self {
         let EngineSnapshot {
             n,
             k,
@@ -1854,7 +1571,6 @@ impl IncrementalDegrees {
         };
         let in_cap = if symmetric { 0 } else { dense_cap };
         let in_mat_cap = if symmetric { 0 } else { mat_cap };
-        let threads = threads.max(1);
 
         // Re-pad a tight rows×cols column back into the full strided
         // buffer construction would allocate (`alloc_rows × stride`;
@@ -1984,17 +1700,8 @@ impl IncrementalDegrees {
             row_scratch: vec![0.0; 4 * mat_cap],
             row_arg_scratch: vec![NO_ARG; 4 * mat_cap],
             row_nz_scratch: vec![0; 2 * mat_cap],
-            pool: (track_summaries && threads > 1).then(|| Arc::new(ThreadPool::new(threads))),
-            shard_scratch: if track_summaries && threads > 1 {
-                vec![ShardScratch::default(); threads]
-            } else {
-                Vec::new()
-            },
-            par_min_touched: PAR_MIN_TOUCHED,
-            par_min_scan_work: PAR_MIN_SCAN_WORK,
             entry_scratch_out: Vec::new(),
             entry_scratch_in: Vec::new(),
-            dirty_scratch: Vec::new(),
             edge_patches_out: Vec::new(),
             edge_patches_in: Vec::new(),
             edge_slot_out: HashMap::new(),
@@ -2119,24 +1826,6 @@ impl IncrementalDegrees {
     #[inline]
     pub fn num_colors(&self) -> usize {
         self.k
-    }
-
-    /// Override the parallel-dispatch thresholds: the minimum touched-node
-    /// count before a split's accumulator phase shards (which doubles as
-    /// the canonical chunk size of the touched-collection accumulation),
-    /// and the minimum total scan work (members × colors, entries ×
-    /// members, or rows × colors) before member-scan and witness-refresh
-    /// batches shard. For any fixed thresholds, results are bit-identical
-    /// across every thread count (the defaults just avoid paying the
-    /// fork-join handshake for tiny regions); tests and benchmarks use
-    /// this to force the sharded paths on small inputs. Because the
-    /// touched chunk size follows `min_touched`, two engines compared on
-    /// non-representable float weights should share thresholds — a
-    /// different chunking regroups the per-neighbor weight sums (exact
-    /// weights agree under any grouping).
-    pub fn set_parallel_thresholds(&mut self, min_touched: usize, min_scan_work: usize) {
-        self.par_min_touched = min_touched.max(1);
-        self.par_min_scan_work = min_scan_work.max(1);
     }
 
     /// Pre-reserve internal capacity for a refinement expected to reach
@@ -2282,10 +1971,7 @@ impl IncrementalDegrees {
     ///
     /// Cost: `O(deg(moved) + (|parent| + |child|)·k)` plus a one-column
     /// member rescan for each pair summary that actually lost its tracked
-    /// extremum attainer. Engines built with more than one thread shard the
-    /// accumulator updates, member-axis scans and rescans across the pool
-    /// (see the module docs for the merge design); the result is
-    /// bit-identical to the serial engine.
+    /// extremum attainer.
     pub fn apply_split(&mut self, g: &Graph, p: &Partition, event: &SplitEvent) {
         let c = event.parent as usize;
         let child = event.child as usize;
@@ -3409,86 +3095,73 @@ impl IncrementalDegrees {
     /// then finalize the batch (child-column entries, lost-extremum
     /// rescans, witness-row invalidation). `collect_touched` must have run
     /// for the matching direction.
-    ///
-    /// Engines with a pool shard the per-node phase across workers when the
-    /// touched set is large; the per-shard partial aggregates reduce with
-    /// exact min/max/or/sum merges at the join, so the batch — and
-    /// everything derived from it — is independent of the shard count.
     fn apply_side(&mut self, p: &Partition, c: usize, child: usize, outgoing: bool) {
         let touched = std::mem::take(&mut self.touched_nodes);
         let deltas = std::mem::take(&mut self.touched_deltas);
         self.begin_color_batch();
-        let sharded = self.pool.is_some() && touched.len() >= self.par_min_touched;
-        if sharded {
-            self.apply_side_sharded(p, c, child, outgoing, &touched, &deltas);
-        } else {
-            let cap = self.cap;
-            // The touched rows land all over a multi-megabyte accumulator
-            // in an order the hardware prefetcher cannot predict, so the
-            // loop prefetches its own future rows. The distance covers the
-            // latency of one row's patch work; the hint never changes
-            // results.
-            const PREFETCH_AHEAD: usize = 16;
-            let colors = p.assignment();
-            let promote_k = self.promote_k();
-            for (pos, (&u, &d)) in touched.iter().zip(deltas.iter()).enumerate() {
-                if let Some(&w) = touched.get(pos + PREFETCH_AHEAD) {
-                    kernels::prefetch_read(colors, w as usize);
-                }
-                let base = u as usize * cap;
-                let (old, new, child_val) = if self.sparse_accum {
-                    let rows = if outgoing {
-                        &mut self.sparse_out
-                    } else {
-                        &mut self.sparse_in
-                    };
-                    // Same two-stage pipeline as the sparse gather
-                    // kernels: the row struct well ahead, its heap
-                    // payload closer in (hints only — results are
-                    // unaffected).
-                    if let Some(&w) = touched.get(pos + PREFETCH_AHEAD) {
-                        kernels::prefetch_read(rows.as_slice(), w as usize);
-                    }
-                    if let Some(&w) = touched.get(pos + PREFETCH_AHEAD / 2) {
-                        kernels::prefetch_row_payload(&rows[w as usize], c as u32);
-                    }
-                    let row = &mut rows[u as usize];
-                    row.split_shift(c as u32, child as u32, d, promote_k)
-                } else {
-                    let acc = if outgoing {
-                        &mut self.dout
-                    } else {
-                        &mut self.din
-                    };
-                    if let Some(&w) = touched.get(pos + PREFETCH_AHEAD) {
-                        let wbase = w as usize * cap;
-                        kernels::prefetch_read(acc, wbase + c);
-                        kernels::prefetch_read(acc, wbase + child);
-                    }
-                    let old = acc[base + c];
-                    let new = old - d;
-                    acc[base + c] = new;
-                    acc[base + child] += d;
-                    (old, new, acc[base + child])
-                };
-                let i = p.color_of(u) as usize;
-                if i == c || i == child {
-                    continue; // both color axes are rebuilt afterwards
-                }
-                let (kind, row, col) = if outgoing {
-                    (EntryKind::OutCol, i, c)
-                } else {
-                    (EntryKind::InRow, c, i)
-                };
-                self.patch_entry(kind, row, col, u, old, new, child_val);
+        let cap = self.cap;
+        // The touched rows land all over a multi-megabyte accumulator in
+        // an order the hardware prefetcher cannot predict, so the loop
+        // prefetches its own future rows. The distance covers the latency
+        // of one row's patch work; the hint never changes results.
+        const PREFETCH_AHEAD: usize = 16;
+        let colors = p.assignment();
+        let promote_k = self.promote_k();
+        for (pos, (&u, &d)) in touched.iter().zip(deltas.iter()).enumerate() {
+            if let Some(&w) = touched.get(pos + PREFETCH_AHEAD) {
+                kernels::prefetch_read(colors, w as usize);
             }
+            let base = u as usize * cap;
+            let (old, new, child_val) = if self.sparse_accum {
+                let rows = if outgoing {
+                    &mut self.sparse_out
+                } else {
+                    &mut self.sparse_in
+                };
+                // Same two-stage pipeline as the sparse gather kernels:
+                // the row struct well ahead, its heap payload closer in
+                // (hints only — results are unaffected).
+                if let Some(&w) = touched.get(pos + PREFETCH_AHEAD) {
+                    kernels::prefetch_read(rows.as_slice(), w as usize);
+                }
+                if let Some(&w) = touched.get(pos + PREFETCH_AHEAD / 2) {
+                    kernels::prefetch_row_payload(&rows[w as usize], c as u32);
+                }
+                let row = &mut rows[u as usize];
+                row.split_shift(c as u32, child as u32, d, promote_k)
+            } else {
+                let acc = if outgoing {
+                    &mut self.dout
+                } else {
+                    &mut self.din
+                };
+                if let Some(&w) = touched.get(pos + PREFETCH_AHEAD) {
+                    let wbase = w as usize * cap;
+                    kernels::prefetch_read(acc, wbase + c);
+                    kernels::prefetch_read(acc, wbase + child);
+                }
+                let old = acc[base + c];
+                let new = old - d;
+                acc[base + c] = new;
+                acc[base + child] += d;
+                (old, new, acc[base + child])
+            };
+            let i = p.color_of(u) as usize;
+            if i == c || i == child {
+                continue; // both color axes are rebuilt afterwards
+            }
+            let (kind, row, col) = if outgoing {
+                (EntryKind::OutCol, i, c)
+            } else {
+                (EntryKind::InRow, c, i)
+            };
+            self.patch_entry(kind, row, col, u, old, new, child_val);
         }
 
         // ---- Finalize the batch: per touched color, install the child
         // column entry, queue a rescan if the parent-column entry lost its
         // extremum, and invalidate the witness row.
         let batch = std::mem::take(&mut self.touched_colors);
-        let cap = self.cap;
         let mut rescans = if outgoing {
             std::mem::take(&mut self.entry_scratch_out)
         } else {
@@ -3586,202 +3259,6 @@ impl IncrementalDegrees {
         self.touched_colors = batch;
         self.touched_nodes = touched;
         self.touched_deltas = deltas;
-    }
-
-    /// The sharded accumulator phase of [`Self::apply_side`]: workers take
-    /// disjoint contiguous chunks of the touched list, apply the
-    /// parent→child mass shifts to their nodes' accumulator rows (each node
-    /// appears in exactly one chunk, so the row writes are disjoint), and
-    /// fold per-color partial aggregates into their shard scratch. The
-    /// caller then merges the shard records — in shard order, with exact
-    /// min/max/or/sum reductions — into the touched-color batch and the
-    /// entry extrema, which makes the merged state identical to what the
-    /// serial loop produces.
-    fn apply_side_sharded(
-        &mut self,
-        p: &Partition,
-        c: usize,
-        child: usize,
-        outgoing: bool,
-        touched: &[NodeId],
-        deltas: &[f64],
-    ) {
-        let cap = self.cap;
-        let pool = self.pool.clone().expect("sharded path requires a pool");
-        let shards = pool.slots();
-        for s in &mut self.shard_scratch {
-            if s.slot.len() < cap {
-                s.slot.resize(cap, u32::MAX);
-            }
-            s.records.clear();
-        }
-        if self.sparse_accum {
-            let promote_k = self.promote_k();
-            let (rows, emin, emax, amin, amax) = if outgoing {
-                (
-                    &mut self.sparse_out,
-                    &self.out_min,
-                    &self.out_max,
-                    &self.out_min_arg,
-                    &self.out_max_arg,
-                )
-            } else {
-                (
-                    &mut self.sparse_in,
-                    &self.in_min,
-                    &self.in_max,
-                    &self.in_min_arg,
-                    &self.in_max_arg,
-                )
-            };
-            let rows = SyncSliceMut::new(rows);
-            let scratch = SyncSliceMut::new(&mut self.shard_scratch);
-            pool.run(|slot| {
-                let (lo, hi) = chunk_range(touched.len(), shards, slot);
-                // SAFETY: each slot touches only its own scratch entry.
-                let shard = unsafe { scratch.get_mut(slot) };
-                for (&u, &d) in touched[lo..hi].iter().zip(&deltas[lo..hi]) {
-                    // SAFETY: every touched node appears exactly once
-                    // across all chunks, so each tiered row is mutated by
-                    // exactly one worker — and its mutation order within
-                    // the chunk equals the serial order, so promotion
-                    // decisions are thread-count independent too.
-                    let row = unsafe { rows.get_mut(u as usize) };
-                    let (old, new, child_val) =
-                        row.split_shift(c as u32, child as u32, d, promote_k);
-                    let i = p.color_of(u) as usize;
-                    if i == c || i == child {
-                        continue;
-                    }
-                    let idx = if outgoing { i * cap + c } else { c * cap + i };
-                    shard.fold(
-                        i as u32, u, old, new, child_val, emin[idx], emax[idx], amin[idx],
-                        amax[idx],
-                    );
-                }
-            });
-        } else {
-            let (acc, emin, emax, amin, amax) = if outgoing {
-                (
-                    &mut self.dout,
-                    &self.out_min,
-                    &self.out_max,
-                    &self.out_min_arg,
-                    &self.out_max_arg,
-                )
-            } else {
-                (
-                    &mut self.din,
-                    &self.in_min,
-                    &self.in_max,
-                    &self.in_min_arg,
-                    &self.in_max_arg,
-                )
-            };
-            let acc = SyncSliceMut::new(acc);
-            let scratch = SyncSliceMut::new(&mut self.shard_scratch);
-            pool.run(|slot| {
-                let (lo, hi) = chunk_range(touched.len(), shards, slot);
-                // SAFETY: each slot touches only its own scratch entry.
-                let shard = unsafe { scratch.get_mut(slot) };
-                for (&u, &d) in touched[lo..hi].iter().zip(&deltas[lo..hi]) {
-                    let base = u as usize * cap;
-                    // SAFETY: every touched node appears exactly once
-                    // across all chunks, so each accumulator row is written
-                    // by exactly one worker.
-                    let row = unsafe { acc.slice_mut(base, base + cap) };
-                    let old = row[c];
-                    let new = old - d;
-                    row[c] = new;
-                    row[child] += d;
-                    let i = p.color_of(u) as usize;
-                    if i == c || i == child {
-                        continue;
-                    }
-                    let child_val = row[child];
-                    let idx = if outgoing { i * cap + c } else { c * cap + i };
-                    shard.fold(
-                        i as u32, u, old, new, child_val, emin[idx], emax[idx], amin[idx],
-                        amax[idx],
-                    );
-                }
-            });
-        }
-        // Deterministic merge: shards in slot order, records in insertion
-        // order; all reductions are exact, so the result equals the serial
-        // loop's batch regardless of the chunk boundaries.
-        for shard_idx in 0..shards {
-            let records = std::mem::take(&mut self.shard_scratch[shard_idx].records);
-            for r in &records {
-                self.merge_shard_record(r, c, outgoing);
-            }
-            self.shard_scratch[shard_idx].records = records;
-        }
-    }
-
-    /// Merge one shard's per-color aggregate into the touched-color batch
-    /// and the parent-column entry extrema (the join-side half of
-    /// [`Self::apply_side_sharded`]).
-    fn merge_shard_record(&mut self, r: &ShardRecord, c: usize, outgoing: bool) {
-        let cap = self.cap;
-        let idx = if outgoing {
-            r.color as usize * cap + c
-        } else {
-            c * cap + r.color as usize
-        };
-        let (cur_min, cur_max) = if outgoing {
-            (self.out_min[idx], self.out_max[idx])
-        } else {
-            (self.in_min[idx], self.in_max[idx])
-        };
-        let slot = self.color_slot[r.color as usize] as usize;
-        let slot = if slot < self.touched_colors.len() && self.touched_colors[slot].color == r.color
-        {
-            slot
-        } else {
-            let fresh = self.touched_colors.len();
-            self.color_slot[r.color as usize] = fresh as u32;
-            self.touched_colors
-                .push(TouchedColor::fresh(r.color, cur_min, cur_max));
-            fresh
-        };
-        let record = &mut self.touched_colors[slot];
-        record.count += r.count;
-        record.nz_delta += r.nz_delta;
-        record.child_nonzero += r.child_nonzero;
-        record.rescan_min |= r.rescan_min;
-        record.rescan_max |= r.rescan_max;
-        if r.child_min < record.child_min {
-            record.child_min = r.child_min;
-            record.child_min_arg = r.child_min_arg;
-        }
-        if r.child_max > record.child_max {
-            record.child_max = r.child_max;
-            record.child_max_arg = r.child_max_arg;
-        }
-        let (emn, emx, amn, amx) = if outgoing {
-            (
-                &mut self.out_min[idx],
-                &mut self.out_max[idx],
-                &mut self.out_min_arg[idx],
-                &mut self.out_max_arg[idx],
-            )
-        } else {
-            (
-                &mut self.in_min[idx],
-                &mut self.in_max[idx],
-                &mut self.in_min_arg[idx],
-                &mut self.in_max_arg[idx],
-            )
-        };
-        if r.ext_min < *emn {
-            *emn = r.ext_min;
-            *amn = r.ext_min_arg;
-        }
-        if r.ext_max > *emx {
-            *emx = r.ext_max;
-            *amx = r.ext_max_arg;
-        }
     }
 
     /// Rebuild the parent's member-axis entries after a split: out-entries
@@ -3896,10 +3373,7 @@ impl IncrementalDegrees {
     /// changed since the last refresh rescan both their maximum error and
     /// their cached best; a β change alone only stales the cached
     /// β-weighted bests (`row_max_err` is β-independent), so a β-only
-    /// rebuild skips the error bookkeeping entirely. Large batches of
-    /// stale rows are sharded across the pool — each row is an independent
-    /// `O(k)` scan writing only its own cache slots, so results are
-    /// bit-identical to the serial order.
+    /// rebuild skips the error bookkeeping entirely.
     pub fn refresh(&mut self, p: &Partition, beta: f64) {
         assert!(
             self.track_summaries,
@@ -3909,19 +3383,8 @@ impl IncrementalDegrees {
             self.row_best_dirty[..self.k].fill(true);
             self.last_beta = beta;
         }
-        let k = self.k;
-        let mut dirty = std::mem::take(&mut self.dirty_scratch);
-        dirty.clear();
-        dirty.extend(
-            (0..k as u32)
-                .filter(|&s| self.row_err_dirty[s as usize] || self.row_best_dirty[s as usize]),
-        );
-        if dirty.is_empty() {
-            self.dirty_scratch = dirty;
-            return;
-        }
         let view = SummaryView {
-            k,
+            k: self.k,
             cap: self.cap,
             symmetric: self.symmetric,
             out_min: &self.out_min,
@@ -3929,44 +3392,18 @@ impl IncrementalDegrees {
             in_min: &self.in_min,
             in_max: &self.in_max,
         };
-        if self.pool.is_some() && dirty.len() >= 2 && dirty.len() * k >= self.par_min_scan_work {
-            let pool = self.pool.clone().expect("checked above");
-            let shards = pool.slots();
-            let row_max_err = SyncSliceMut::new(&mut self.row_max_err);
-            let row_best = SyncSliceMut::new(&mut self.row_best);
-            let err_dirty = SyncSliceMut::new(&mut self.row_err_dirty);
-            let best_dirty = SyncSliceMut::new(&mut self.row_best_dirty);
-            pool.run(|slot| {
-                let (lo, hi) = chunk_range(dirty.len(), shards, slot);
-                for &s in &dirty[lo..hi] {
-                    let s = s as usize;
-                    let (max_err, best) = view.scan_row(p, s, beta);
-                    // SAFETY: the dirty list is duplicate-free and chunks
-                    // are disjoint, so each row's slots are written by one
-                    // worker.
-                    unsafe {
-                        if *err_dirty.get_mut(s) {
-                            *row_max_err.get_mut(s) = max_err;
-                            *err_dirty.get_mut(s) = false;
-                        }
-                        *row_best.get_mut(s) = best;
-                        *best_dirty.get_mut(s) = false;
-                    }
-                }
-            });
-        } else {
-            for &s in &dirty {
-                let s = s as usize;
-                let (max_err, best) = view.scan_row(p, s, beta);
-                if self.row_err_dirty[s] {
-                    self.row_max_err[s] = max_err;
-                    self.row_err_dirty[s] = false;
-                }
-                self.row_best[s] = best;
-                self.row_best_dirty[s] = false;
+        for s in 0..self.k {
+            if !(self.row_err_dirty[s] || self.row_best_dirty[s]) {
+                continue;
             }
+            let (max_err, best) = view.scan_row(p, s, beta);
+            if self.row_err_dirty[s] {
+                self.row_max_err[s] = max_err;
+                self.row_err_dirty[s] = false;
+            }
+            self.row_best[s] = best;
+            self.row_best_dirty[s] = false;
         }
-        self.dirty_scratch = dirty;
     }
 
     /// Maximum q-error over all pairs and directions. Requires
@@ -4221,24 +3658,8 @@ impl IncrementalDegrees {
 
     /// Rebuild every pair summary indexed along color `s`'s member axis:
     /// out-entries `(s, j)` and in-entries `(j, s)` for all `j`, by scanning
-    /// the accumulator rows of `P_s`'s members. `O(|P_s| · k)`, sharded
-    /// across the pool for large colors (per-shard min/max rows merged in
-    /// shard order with exact comparisons — same values and extremum
-    /// witnesses as the serial member-order scan).
+    /// the accumulator rows of `P_s`'s members. `O(|P_s| · k)`.
     fn recompute_color_axis(&mut self, p: &Partition, s: usize) {
-        let k = self.k;
-        let members = p.members(s as u32);
-        if self.pool.is_some() && members.len() >= 2 && members.len() * k >= self.par_min_scan_work
-        {
-            self.recompute_color_axis_sharded(p, s);
-        } else {
-            self.recompute_color_axis_serial(p, s);
-        }
-        self.row_err_dirty[s] = true;
-        self.row_best_dirty[s] = true;
-    }
-
-    fn recompute_color_axis_serial(&mut self, p: &Partition, s: usize) {
         let k = self.k;
         let cap = self.cap;
         let (omin, rest) = self.row_scratch.split_at_mut(cap);
@@ -4325,157 +3746,8 @@ impl IncrementalDegrees {
                 self.in_nz[j * cap + s] = inz[j];
             }
         }
-    }
-
-    /// The sharded variant of the member-axis rebuild: each worker scans a
-    /// contiguous chunk of `P_s`'s members into its own 4-row min/max
-    /// scratch, and the caller merges the shard rows in shard order (strict
-    /// comparisons keep the first attainer, so the merge equals the serial
-    /// member-order scan bit-for-bit, extremum witnesses included).
-    fn recompute_color_axis_sharded(&mut self, p: &Partition, s: usize) {
-        let k = self.k;
-        let cap = self.cap;
-        let pool = self.pool.clone().expect("sharded path requires a pool");
-        let shards = pool.slots();
-        let members = p.members(s as u32);
-        let symmetric = self.symmetric;
-        for sc in &mut self.shard_scratch {
-            if sc.axis.len() < 4 * cap {
-                sc.axis.resize(4 * cap, 0.0);
-                sc.axis_arg.resize(4 * cap, NO_ARG);
-                sc.axis_nz.resize(2 * cap, 0);
-            }
-        }
-        {
-            let dout = &self.dout;
-            let din = &self.din;
-            let sparse_out = &self.sparse_out;
-            let sparse_in = &self.sparse_in;
-            let sparse_accum = self.sparse_accum;
-            let scratch = SyncSliceMut::new(&mut self.shard_scratch);
-            pool.run(|slot| {
-                let (lo, hi) = chunk_range(members.len(), shards, slot);
-                // SAFETY: each slot touches only its own scratch entry.
-                let shard = unsafe { scratch.get_mut(slot) };
-                let (omin, rest) = shard.axis.split_at_mut(cap);
-                let (omax, rest) = rest.split_at_mut(cap);
-                let (imin, imax) = rest.split_at_mut(cap);
-                let (aomin, arest) = shard.axis_arg.split_at_mut(cap);
-                let (aomax, arest) = arest.split_at_mut(cap);
-                let (aimin, aimax) = arest.split_at_mut(cap);
-                let (onz, inz) = shard.axis_nz.split_at_mut(cap);
-                omin[..k].fill(f64::INFINITY);
-                omax[..k].fill(f64::NEG_INFINITY);
-                aomin[..k].fill(NO_ARG);
-                aomax[..k].fill(NO_ARG);
-                onz[..k].fill(0);
-                if !symmetric {
-                    imin[..k].fill(f64::INFINITY);
-                    imax[..k].fill(f64::NEG_INFINITY);
-                    aimin[..k].fill(NO_ARG);
-                    aimax[..k].fill(NO_ARG);
-                    inz[..k].fill(0);
-                }
-                // Same row kernel as the serial scan — the shard's partial
-                // aggregates are the serial member-order scan of its chunk.
-                // Sparse storage folds the stored entries per member and
-                // closes each chunk with a zero tail over the chunk's own
-                // member count: a column some chunk member misses folds a
-                // 0.0/NO_ARG into that shard's partial, so the shard-order
-                // merge below reproduces the serial sparse scan's *values*
-                // exactly (zero-extremum attainers may stay NO_ARG — the
-                // usual conservative-rescan sentinel).
-                if sparse_accum {
-                    for &u in &members[lo..hi] {
-                        let row = &sparse_out[u as usize];
-                        kernels::fold_minmax_sparse_row(u, row, k, omin, omax, aomin, aomax, onz);
-                        if !symmetric {
-                            let row = &sparse_in[u as usize];
-                            kernels::fold_minmax_sparse_row(
-                                u, row, k, imin, imax, aimin, aimax, inz,
-                            );
-                        }
-                    }
-                    let count = (hi - lo) as u32;
-                    kernels::fold_zero_tail(count, k, omin, omax, aomin, aomax, onz);
-                    if !symmetric {
-                        kernels::fold_zero_tail(count, k, imin, imax, aimin, aimax, inz);
-                    }
-                } else {
-                    for &u in &members[lo..hi] {
-                        let base = u as usize * cap;
-                        kernels::fold_minmax_row(
-                            u,
-                            &dout[base..base + k],
-                            omin,
-                            omax,
-                            aomin,
-                            aomax,
-                            onz,
-                        );
-                        if !symmetric {
-                            kernels::fold_minmax_row(
-                                u,
-                                &din[base..base + k],
-                                imin,
-                                imax,
-                                aimin,
-                                aimax,
-                                inz,
-                            );
-                        }
-                    }
-                }
-            });
-        }
-        for j in 0..k {
-            let mut omn = f64::INFINITY;
-            let mut omx = f64::NEG_INFINITY;
-            let (mut aomn, mut aomx) = (NO_ARG, NO_ARG);
-            let mut onz = 0u32;
-            let mut imn = f64::INFINITY;
-            let mut imx = f64::NEG_INFINITY;
-            let (mut aimn, mut aimx) = (NO_ARG, NO_ARG);
-            let mut inz = 0u32;
-            for sc in &self.shard_scratch[..shards] {
-                let v = sc.axis[j];
-                if v < omn {
-                    omn = v;
-                    aomn = sc.axis_arg[j];
-                }
-                let v = sc.axis[cap + j];
-                if v > omx {
-                    omx = v;
-                    aomx = sc.axis_arg[cap + j];
-                }
-                onz += sc.axis_nz[j];
-                if !symmetric {
-                    let v = sc.axis[2 * cap + j];
-                    if v < imn {
-                        imn = v;
-                        aimn = sc.axis_arg[2 * cap + j];
-                    }
-                    let v = sc.axis[3 * cap + j];
-                    if v > imx {
-                        imx = v;
-                        aimx = sc.axis_arg[3 * cap + j];
-                    }
-                    inz += sc.axis_nz[cap + j];
-                }
-            }
-            self.out_min[s * cap + j] = omn;
-            self.out_max[s * cap + j] = omx;
-            self.out_min_arg[s * cap + j] = aomn;
-            self.out_max_arg[s * cap + j] = aomx;
-            self.out_nz[s * cap + j] = onz;
-            if !symmetric {
-                self.in_min[j * cap + s] = imn;
-                self.in_max[j * cap + s] = imx;
-                self.in_min_arg[j * cap + s] = aimn;
-                self.in_max_arg[j * cap + s] = aimx;
-                self.in_nz[j * cap + s] = inz;
-            }
-        }
+        self.row_err_dirty[s] = true;
+        self.row_best_dirty[s] = true;
     }
 
     /// Collect the distinct neighbors of `moved` (sources of their in-edges
@@ -4484,30 +3756,25 @@ impl IncrementalDegrees {
     /// index-parallel `touched_deltas` (so consumers read them
     /// positionally, without a per-node gather).
     ///
-    /// Moved lists of at least `par_min_touched` nodes use the *canonical
-    /// chunked accumulation*: the list is cut into fixed-size chunks
-    /// (chunk size = `par_min_touched`, a pure function of the engine's
-    /// thresholds — **never** of the thread count), each chunk is deduped
-    /// with a generation-stamped seen-bitmap into a `(node, chunk-local
-    /// delta)` list, and the lists are merged in chunk order. A neighbor's
-    /// global first appearance is in the earliest chunk that touches it,
-    /// at that chunk's local first-touch position, so the merged touched
-    /// ordering equals the serial first-appearance scan exactly; and
-    /// because the chunk boundaries and the merge order are
-    /// thread-independent, the accumulated deltas are **bit-identical for
-    /// every thread count** — on arbitrary float weights, not just
-    /// representable ones — preserving the engine-wide determinism
-    /// contract. Pooled engines fan the chunks out across workers
-    /// (round-robin; scheduling only), serial engines process them inline.
-    /// Below the threshold a single sequential scan runs, which is the
-    /// one-chunk case of the same grouping.
+    /// Moved lists of at least [`TOUCHED_CHUNK`] nodes use the *canonical
+    /// chunked accumulation*: the list is cut into chunks of that fixed
+    /// size, each chunk is deduped with a generation-stamped seen-bitmap
+    /// into a `(node, chunk-local delta)` list, and the lists are merged in
+    /// chunk order. A neighbor's global first appearance is in the earliest
+    /// chunk that touches it, at that chunk's local first-touch position, so
+    /// the merged touched ordering equals the serial first-appearance scan
+    /// exactly. The per-neighbor weight sums, however, are grouped by chunk
+    /// — which changes f64 association on non-dyadic weights — so the chunk
+    /// size is part of the determinism contract: every engine (and every
+    /// checkpoint restore) groups the same way. Below the threshold a single
+    /// sequential scan runs, which is the one-chunk case of the same
+    /// grouping.
     fn collect_touched(&mut self, g: &Graph, moved: &[NodeId], incoming: bool) {
         // Mapped graphs: start faulting the moved nodes' arc span in now,
         // so the batched scan below overlaps page-in with compute (no-op
         // for owned graphs).
         g.advise_arcs_will_need(moved);
-        let chunk_size = self.par_min_touched;
-        if moved.len() < chunk_size.max(2) {
+        if moved.len() < TOUCHED_CHUNK {
             self.mark_gen = self.mark_gen.wrapping_add(1);
             if self.mark_gen == 0 {
                 self.node_mark.fill(0);
@@ -4536,77 +3803,33 @@ impl IncrementalDegrees {
             }
             return;
         }
-        self.collect_touched_chunked(g, moved, incoming, chunk_size);
+        self.collect_touched_chunked(g, moved, incoming);
     }
 
     /// The chunked half of [`Self::collect_touched`]: scan each chunk into
-    /// its own `(node, delta)` list — across the pool when one is attached
-    /// — then merge the lists in chunk order (see the entry point for the
-    /// determinism argument).
-    fn collect_touched_chunked(
-        &mut self,
-        g: &Graph,
-        moved: &[NodeId],
-        incoming: bool,
-        chunk_size: usize,
-    ) {
-        let chunks = moved.len().div_ceil(chunk_size);
+    /// its own `(node, delta)` list, then merge the lists in chunk order
+    /// (see the entry point for the determinism argument).
+    fn collect_touched_chunked(&mut self, g: &Graph, moved: &[NodeId], incoming: bool) {
+        let chunks = moved.len().div_ceil(TOUCHED_CHUNK);
         let mut outputs = std::mem::take(&mut self.chunk_out);
         if outputs.len() < chunks {
             outputs.resize_with(chunks, Vec::new);
         }
-        if let Some(pool) = self.pool.clone() {
-            let n = self.n;
-            let slots = pool.slots();
-            for s in &mut self.shard_scratch {
-                if s.seen_stamp.len() < n {
-                    s.seen_stamp.resize(n, 0);
-                    s.delta.resize(n, 0.0);
-                }
-            }
-            let scratch = SyncSliceMut::new(&mut self.shard_scratch);
-            let out = SyncSliceMut::new(&mut outputs);
-            pool.run(|slot| {
-                // SAFETY: each slot touches only its own scratch entry.
-                let shard = unsafe { scratch.get_mut(slot) };
-                let mut c = slot;
-                while c < chunks {
-                    let lo = c * chunk_size;
-                    let hi = (lo + chunk_size).min(moved.len());
-                    // SAFETY: chunks are assigned round-robin by slot, so
-                    // each output list is written by exactly one worker.
-                    let list = unsafe { out.get_mut(c) };
-                    scan_chunk(
-                        g,
-                        &moved[lo..hi],
-                        incoming,
-                        &mut shard.seen_stamp,
-                        &mut shard.seen_gen,
-                        &mut shard.delta,
-                        list,
-                    );
-                    c += slots;
-                }
-            });
-        } else {
-            for (c, list) in outputs.iter_mut().enumerate().take(chunks) {
-                let lo = c * chunk_size;
-                let hi = (lo + chunk_size).min(moved.len());
-                scan_chunk(
-                    g,
-                    &moved[lo..hi],
-                    incoming,
-                    &mut self.node_stamp,
-                    &mut self.stamp_gen,
-                    &mut self.node_delta,
-                    list,
-                );
-            }
+        for (list, chunk) in outputs.iter_mut().zip(moved.chunks(TOUCHED_CHUNK)) {
+            scan_chunk(
+                g,
+                chunk,
+                incoming,
+                &mut self.node_stamp,
+                &mut self.stamp_gen,
+                &mut self.node_delta,
+                list,
+            );
         }
         // Merge in chunk order: global first-appearance dedupe over the
         // chunk lists, chunk-local partials added in chunk order. (The
-        // serial path above may have used node_stamp/node_delta as chunk
-        // scratch; `node_mark` runs on its own generation counter.)
+        // chunk scans above use node_stamp/node_delta as scratch;
+        // `node_mark` runs on its own generation counter.)
         self.mark_gen = self.mark_gen.wrapping_add(1);
         if self.mark_gen == 0 {
             self.node_mark.fill(0);
@@ -4784,110 +4007,37 @@ impl IncrementalDegrees {
         self.in_nz[i * cap + j] = nz;
     }
 
-    /// Recompute a batch of out-entries `(i, j)` (each scanning `P_i`),
-    /// sharding across the pool when the total member-scan work is large.
-    /// Each entry is written by exactly one worker, so the results are the
-    /// same as the serial loop.
+    /// Recompute a batch of out-entries `(i, j)` (each scanning `P_i`).
     fn rescan_out_entries(&mut self, p: &Partition, entries: &[(u32, u32)]) {
-        let work: usize = entries.iter().map(|&(i, _)| p.size(i)).sum();
-        if self.pool.is_none() || entries.len() < 2 || work < self.par_min_scan_work {
-            // Entries sharing one member axis (the parent-axis repair batch
-            // always does) fold in a single member pass — each accumulator
-            // row is loaded once for every queued column. Per column this
-            // is the same member-order fold, bit for bit.
-            if entries.len() >= 2 && entries.iter().all(|&(i, _)| i == entries[0].0) {
-                self.rescan_out_row_grouped(p, entries);
-                return;
-            }
-            for &(i, j) in entries {
-                self.rescan_out_entry(p, i as usize, j as usize);
-            }
+        // Entries sharing one member axis (the parent-axis repair batch
+        // always does) fold in a single member pass — each accumulator row
+        // is loaded once for every queued column. Per column this is the
+        // same member-order fold, bit for bit.
+        if entries.len() >= 2 && entries.iter().all(|&(i, _)| i == entries[0].0) {
+            self.rescan_out_row_grouped(p, entries);
             return;
         }
-        let cap = self.cap;
-        let pool = self.pool.clone().expect("checked above");
-        let shards = pool.slots();
-        let dout = &self.dout;
-        let sparse_out = &self.sparse_out;
-        let sparse_accum = self.sparse_accum;
-        let emin = SyncSliceMut::new(&mut self.out_min);
-        let emax = SyncSliceMut::new(&mut self.out_max);
-        let amin = SyncSliceMut::new(&mut self.out_min_arg);
-        let amax = SyncSliceMut::new(&mut self.out_max_arg);
-        let enz = SyncSliceMut::new(&mut self.out_nz);
-        pool.run(|slot| {
-            let (lo, hi) = chunk_range(entries.len(), shards, slot);
-            for &(i, j) in &entries[lo..hi] {
-                let (mn, mx, an, ax, nz) = if sparse_accum {
-                    kernels::scan_gather_column_sparse(p.members(i), sparse_out, j)
-                } else {
-                    scan_entry_column(p.members(i), dout, cap, j as usize)
-                };
-                let idx = i as usize * cap + j as usize;
-                // SAFETY: the entry list is duplicate-free and chunks are
-                // disjoint, so each index is written by one worker.
-                unsafe {
-                    *emin.get_mut(idx) = mn;
-                    *emax.get_mut(idx) = mx;
-                    *amin.get_mut(idx) = an;
-                    *amax.get_mut(idx) = ax;
-                    *enz.get_mut(idx) = nz;
-                }
-            }
-        });
+        for &(i, j) in entries {
+            self.rescan_out_entry(p, i as usize, j as usize);
+        }
     }
 
     /// Recompute a batch of in-entries `(i, j)` (each scanning `P_j`); the
     /// in-direction mirror of [`Self::rescan_out_entries`].
     fn rescan_in_entries(&mut self, p: &Partition, entries: &[(u32, u32)]) {
-        let work: usize = entries.iter().map(|&(_, j)| p.size(j)).sum();
-        if self.pool.is_none() || entries.len() < 2 || work < self.par_min_scan_work {
-            // Mirror of the out-side grouping: in-entries sharing the
-            // member color `j` fold all queued first indices in one pass
-            // over `P_j`'s `din` rows.
-            if entries.len() >= 2 && entries.iter().all(|&(_, j)| j == entries[0].1) {
-                self.rescan_in_row_grouped(p, entries);
-                return;
-            }
-            for &(i, j) in entries {
-                self.rescan_in_entry(p, i as usize, j as usize);
-            }
+        // Mirror of the out-side grouping: in-entries sharing the member
+        // color `j` fold all queued first indices in one pass over
+        // `P_j`'s `din` rows.
+        if entries.len() >= 2 && entries.iter().all(|&(_, j)| j == entries[0].1) {
+            self.rescan_in_row_grouped(p, entries);
             return;
         }
-        let cap = self.cap;
-        let pool = self.pool.clone().expect("checked above");
-        let shards = pool.slots();
-        let din = &self.din;
-        let sparse_in = &self.sparse_in;
-        let sparse_accum = self.sparse_accum;
-        let emin = SyncSliceMut::new(&mut self.in_min);
-        let emax = SyncSliceMut::new(&mut self.in_max);
-        let amin = SyncSliceMut::new(&mut self.in_min_arg);
-        let amax = SyncSliceMut::new(&mut self.in_max_arg);
-        let enz = SyncSliceMut::new(&mut self.in_nz);
-        pool.run(|slot| {
-            let (lo, hi) = chunk_range(entries.len(), shards, slot);
-            for &(i, j) in &entries[lo..hi] {
-                let (mn, mx, an, ax, nz) = if sparse_accum {
-                    kernels::scan_gather_column_sparse(p.members(j), sparse_in, i)
-                } else {
-                    scan_entry_column(p.members(j), din, cap, i as usize)
-                };
-                let idx = i as usize * cap + j as usize;
-                // SAFETY: disjoint duplicate-free chunks (see
-                // rescan_out_entries).
-                unsafe {
-                    *emin.get_mut(idx) = mn;
-                    *emax.get_mut(idx) = mx;
-                    *amin.get_mut(idx) = an;
-                    *amax.get_mut(idx) = ax;
-                    *enz.get_mut(idx) = nz;
-                }
-            }
-        });
+        for &(i, j) in entries {
+            self.rescan_in_entry(p, i as usize, j as usize);
+        }
     }
 
-    /// Serial grouped rescan of out-entries that all share member color
+    /// Grouped rescan of out-entries that all share member color
     /// `entries[0].0`: one pass over that color's `dout` rows folds every
     /// queued column via [`kernels::scan_gather_columns`], then the
     /// results land entry by entry. Equal to [`Self::rescan_out_entry`]

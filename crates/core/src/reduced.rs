@@ -239,10 +239,14 @@ impl ReducedDelta {
         for i in 0..k {
             sum[i * cap..i * cap + k].copy_from_slice(&snap.sum[i * k..(i + 1) * k]);
         }
-        let mut dirty_flag = vec![false; cap];
+        // Dirty ids at or past `k` are pending column-removal markers
+        // left by merges (see `apply_merge`); they always form the range
+        // `[k, k + m)` with `m <= dirty.len()`.
+        let dirty_bound = k + snap.dirty.len();
+        let mut dirty_flag = vec![false; cap.max(dirty_bound)];
         for &c in &snap.dirty {
             assert!(
-                (c as usize) < k,
+                (c as usize) < dirty_bound,
                 "reduced snapshot dirty color out of range"
             );
             dirty_flag[c as usize] = true;
@@ -542,7 +546,11 @@ impl ReducedDelta {
         }
         self.sum = grown;
         self.cap = new_cap;
-        self.dirty_flag.resize(new_cap, false);
+        // A restored delta may already flag removal markers past the new
+        // stride; never shrink the flags.
+        if self.dirty_flag.len() < new_cap {
+            self.dirty_flag.resize(new_cap, false);
+        }
     }
 }
 

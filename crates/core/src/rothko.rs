@@ -40,7 +40,7 @@
 //! (and witness refreshes) from `O(steps)` to `O(steps / B)`.
 //!
 //! Semantics versus the paper's greedy order: with `B = 1` the refinement
-//! is *exactly* the greedy algorithm (pinned bit-identical to the serial
+//! is *exactly* the greedy algorithm (pinned bit-identical to the default
 //! engine, witness sequence included). With `B > 1`, candidates ranked 2
 //! to B were scored before the round's earlier splits landed, so they may
 //! differ from what a strict re-ranking would have chosen; split
@@ -55,9 +55,7 @@
 //! [`RothkoRun::step_with`] (or [`crate::sweep::ColoringSweep`]): the
 //! callback fires *inside* the round after every split, with the partition
 //! exactly one split ahead — the same lockstep contract as before, so
-//! multi-split rounds need no consumer changes. [`RothkoConfig::threads`]
-//! has no semantic effect at all; it only shards the engine's update
-//! phases (see [`crate::q_error`]).
+//! multi-split rounds need no consumer changes.
 //!
 //! # Budget sweeps
 //!
@@ -99,7 +97,6 @@
 //! a [`PartitionEvent`] in lockstep for downstream incremental consumers.
 
 use crate::kernels;
-use crate::parallel::default_threads;
 use crate::partition::{ColorId, Partition, PartitionEvent, SplitEvent};
 use crate::q_error::{
     pick_merge_scratch, pick_witnesses_scratch, q_error_report, DegreeMatrices, EngineSnapshot,
@@ -160,10 +157,6 @@ pub struct RothkoConfig {
     /// Hard cap on the number of refinement steps (safety valve; `None`
     /// means "until one of the stopping conditions is met").
     pub max_iterations: Option<usize>,
-    /// Worker threads for the incremental engine's sharded split/refresh
-    /// phases. `None` reads the `QSC_THREADS` environment variable
-    /// (defaulting to 1); results are bit-identical for every value.
-    pub threads: Option<usize>,
     /// Witness splits per synchronization round (the batch size `B`). Each
     /// round refreshes the witness cache once, picks the top `B` candidates
     /// with *distinct* split colors, applies all of them, and only then
@@ -180,14 +173,6 @@ pub struct RothkoConfig {
     /// error instead of only ever refining. Off by default — one-shot runs
     /// and budget sweeps are monotone refinements.
     pub coarsen: bool,
-    /// Relax the canonical summation order in the witness-split threshold
-    /// scan (see [`crate::kernels::gather_stats_fast`]): same values up to
-    /// float associativity, but the reduction order is unspecified, so runs
-    /// are **excluded from the bit-identity determinism contract**
-    /// (colorings may differ in threshold-tie cases between builds). Off by
-    /// default; only opt in for throughput measurements — `bench_kernels`
-    /// records the comparison.
-    pub fast_math: bool,
     /// Accumulator storage for the incremental engine (see
     /// [`StorageMode`]): dense `n × k` matrices, tiered sparse rows, or the
     /// default `Auto` density heuristic (dense until the projected dense
@@ -208,10 +193,8 @@ impl Default for RothkoConfig {
             split_mean: SplitMean::Arithmetic,
             initial: None,
             max_iterations: None,
-            threads: None,
             batch: 1,
             coarsen: false,
-            fast_math: false,
             storage: StorageMode::Auto,
         }
     }
@@ -293,12 +276,6 @@ impl RothkoConfig {
         self
     }
 
-    /// Builder-style setter for the engine worker-thread count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
     /// Builder-style setter for the witness batch size `B` (clamped to at
     /// least 1).
     pub fn batch(mut self, batch: usize) -> Self {
@@ -310,13 +287,6 @@ impl RothkoConfig {
     /// [`Self::coarsen`] — the field).
     pub fn coarsen(mut self, coarsen: bool) -> Self {
         self.coarsen = coarsen;
-        self
-    }
-
-    /// Builder-style setter for the relaxed-summation mode (see
-    /// [`Self::fast_math`] — the field). Off by default.
-    pub fn fast_math(mut self, fast_math: bool) -> Self {
-        self.fast_math = fast_math;
         self
     }
 
@@ -481,13 +451,11 @@ impl<'g> RothkoRun<'g> {
         let engine = if from_scratch {
             None
         } else {
-            let threads = config.threads.unwrap_or_else(default_threads);
             // The color budget doubles as the density hint for `Auto`
             // storage resolution (capped inside `new_with_storage`).
             let mut engine = IncrementalDegrees::new_with_storage(
                 graph,
                 &partition,
-                threads,
                 config.storage,
                 config.max_colors,
             );
@@ -586,11 +554,10 @@ impl<'g> RothkoRun<'g> {
     /// maintenance events — the determinism contract).
     ///
     /// The graph is taken by value (a restore owns its graph; there is no
-    /// borrowed original), so the returned run is `'static`. The engine's
-    /// thread pool is rebuilt from `config.threads` exactly as
-    /// [`Rothko::start`] would, including the capacity pre-reservation
-    /// for modest color budgets — restored engines have the same stride
-    /// as freshly built ones.
+    /// borrowed original), so the returned run is `'static`. The engine
+    /// is rebuilt exactly as [`Rothko::start`] would build it, including
+    /// the capacity pre-reservation for modest color budgets — restored
+    /// engines have the same stride as freshly built ones.
     ///
     /// # Panics
     /// If the snapshot's dimensions disagree with the graph (the
@@ -616,8 +583,7 @@ impl<'g> RothkoRun<'g> {
                 snap.partition.num_colors(),
                 "snapshot engine does not match partition"
             );
-            let threads = config.threads.unwrap_or_else(default_threads);
-            let mut engine = IncrementalDegrees::from_snapshot(e, threads);
+            let mut engine = IncrementalDegrees::from_snapshot(e);
             const RESERVE_BUDGET_LIMIT: usize = 4096;
             if config.max_colors <= RESERVE_BUDGET_LIMIT {
                 engine.reserve_colors(config.max_colors);
@@ -1195,13 +1161,8 @@ impl<'g> RothkoRun<'g> {
         // Sum + min/max in one vectorized gather pass. The deterministic
         // kernel reduces the sum through the canonical blocked tree (this
         // is where the engine's determinism pins were re-baselined when the
-        // canonical order switched from the sequential fold); `fast_math`
-        // swaps in the relaxed-order variant.
-        let stats = if self.config.fast_math {
-            kernels::gather_stats_fast(members, &self.deg_scratch)
-        } else {
-            kernels::gather_stats(members, &self.deg_scratch)
-        };
+        // canonical order switched from the sequential fold).
+        let stats = kernels::gather_stats(members, &self.deg_scratch);
         let (sum, min, max) = (stats.sum, stats.min, stats.max);
         if min == max {
             // Degenerate: every member has the same degree towards the

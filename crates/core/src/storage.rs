@@ -20,8 +20,8 @@
 //!   the sparse form would cost more bytes *and* more work per access
 //!   than dense slots, so the row is promoted in place. Promotion is a
 //!   pure function of the row's mutation history and the engine's color
-//!   count — never of the thread count — so tiering cannot perturb the
-//!   determinism contract. Rows are not demoted: a row that was hot
+//!   count, so tiering cannot perturb the determinism contract. Rows are
+//!   not demoted: a row that was hot
 //!   stays dense (demotion would add churn on the exact rows that are
 //!   mutated most, for a bounded and already-paid memory cost).
 //!
@@ -49,7 +49,7 @@ pub enum StorageMode {
     /// dense footprint is large **and** the graph is sparse relative to
     /// the color budget; dense otherwise. The heuristic is a pure
     /// function of `(n, arcs, color hint, directedness)`, so it is
-    /// deterministic across runs and thread counts.
+    /// deterministic across runs.
     #[default]
     Auto,
 }

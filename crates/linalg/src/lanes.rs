@@ -11,8 +11,8 @@
 //!
 //! ## Determinism contract
 //!
-//! The workspace's incremental engines promise bit-identical results at
-//! every thread count and across warm/cold re-runs, so each kernel pins an
+//! The workspace's incremental engines promise bit-identical results
+//! across storage modes and warm/cold re-runs, so each kernel pins an
 //! exact operation order:
 //!
 //! * **Sums** ([`sum`], [`dot`]) use the *canonical blocked reduction
@@ -23,7 +23,7 @@
 //!   than a plain sequential fold — callers that previously pinned
 //!   sequential-sum results re-baseline once when they switch — but it is
 //!   a *fixed* order: the same input slice always reduces through the same
-//!   tree, independent of thread count, call site, or build.
+//!   tree, independent of call site or build.
 //! * **Min/max scans** ([`min_max`], [`max_abs`]) keep exact sequential
 //!   semantics — strict-compare select per element, first attainer wins
 //!   ties — expressed branch-free (`if lt { x } else { m }` compiles to
@@ -36,11 +36,6 @@
 //! * **Elementwise folds** ([`fold_add`], [`fold_sub`], [`axpy`],
 //!   [`scale`]) touch each index independently, so vectorization cannot
 //!   reorder anything observable.
-//!
-//! [`sum_fast`] / [`dot_fast`] are the explicit escape hatch: same values
-//! up to float associativity, but the reduction order is *unspecified* and
-//! may change between versions. Only opt-in paths (e.g.
-//! `RothkoConfig::fast_math`) may call them.
 //!
 //! ## Bounds-check elimination audit
 //!
@@ -79,27 +74,6 @@ pub fn sum(xs: &[f64]) -> f64 {
     acc
 }
 
-/// Sum with an *unspecified* reduction order (fast-math escape hatch).
-///
-/// Values agree with [`sum`] up to float associativity. Do not use on
-/// paths covered by the determinism contract.
-#[must_use]
-pub fn sum_fast(xs: &[f64]) -> f64 {
-    let mut lanes = [0.0f64; LANES];
-    let mut it = xs.chunks_exact(LANES);
-    for chunk in &mut it {
-        let c = &chunk[..LANES];
-        for l in 0..LANES {
-            lanes[l] += c[l];
-        }
-    }
-    let mut acc: f64 = lanes.iter().sum();
-    for &x in it.remainder() {
-        acc += x;
-    }
-    acc
-}
-
 /// Dot product with the canonical blocked reduction tree (see [`sum`]).
 #[must_use]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -117,18 +91,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     }
     let mut acc = combine_tree(&lanes);
     for i in blocks * LANES..n {
-        acc += a[i] * b[i];
-    }
-    acc
-}
-
-/// Dot product with an *unspecified* reduction order (see [`sum_fast`]).
-#[must_use]
-pub fn dot_fast(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len().min(b.len());
-    let mut acc = 0.0f64;
-    for i in 0..n {
         acc += a[i] * b[i];
     }
     acc

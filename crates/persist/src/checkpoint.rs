@@ -418,10 +418,13 @@ pub fn encode_checkpoint_with(data: &CheckpointData, layout: Layout) -> (Vec<u8>
     s.f64(c.beta);
     s.u8(split_mean_tag(c.split_mean));
     s.opt_u64(c.max_iterations.map(|v| v as u64));
-    s.opt_u64(c.threads.map(|v| v as u64));
+    // Reserved slot (formerly the engine thread count), written as
+    // `Some(1)` so the format and its golden fixtures stay unchanged.
+    s.opt_u64(Some(1));
     s.u64(c.batch as u64);
     s.flag(c.coarsen);
-    s.flag(c.fast_math);
+    // Reserved flag byte (formerly the relaxed-summation mode), always 0.
+    s.u8(0);
     s.u8(storage_tag(c.storage));
     s.u64(data.run.iterations as u64);
     s.u64(data.run.merges as u64);
@@ -880,36 +883,51 @@ pub(crate) fn parse_scalars(version: u32, payload: &[u8]) -> Result<ScalarState,
     let mut s = ScalarReader::new(payload);
     let n = s.usize()?;
     let directed = s.flag()?;
+    let max_colors = s.usize()?;
+    let target_error = s.f64()?;
+    let alpha = s.f64()?;
+    let beta = s.f64()?;
+    let split_mean = match s.u8()? {
+        0 => SplitMean::Arithmetic,
+        1 => SplitMean::Geometric,
+        _ => {
+            return Err(PersistError::Corrupt {
+                context: "unknown split-mean tag",
+            })
+        }
+    };
+    let max_iterations = s.opt_u64()?.map(|v| v as usize);
+    // Reserved slot (formerly the engine thread count): parsed, ignored.
+    s.opt_u64()?;
+    let batch = s.usize()?;
+    let coarsen = s.flag()?;
+    // Reserved flag byte (formerly the relaxed-summation mode): must be 0.
+    if s.u8()? != 0 {
+        return Err(PersistError::Corrupt {
+            context: "reserved config flag byte is nonzero",
+        });
+    }
+    let storage = match s.u8()? {
+        0 => StorageMode::Dense,
+        1 => StorageMode::Sparse,
+        2 => StorageMode::Auto,
+        _ => {
+            return Err(PersistError::Corrupt {
+                context: "unknown storage-mode tag",
+            })
+        }
+    };
     let config = RothkoConfig {
-        max_colors: s.usize()?,
-        target_error: s.f64()?,
-        alpha: s.f64()?,
-        beta: s.f64()?,
-        split_mean: match s.u8()? {
-            0 => SplitMean::Arithmetic,
-            1 => SplitMean::Geometric,
-            _ => {
-                return Err(PersistError::Corrupt {
-                    context: "unknown split-mean tag",
-                })
-            }
-        },
+        max_colors,
+        target_error,
+        alpha,
+        beta,
+        split_mean,
         initial: None,
-        max_iterations: s.opt_u64()?.map(|v| v as usize),
-        threads: s.opt_u64()?.map(|v| v as usize),
-        batch: s.usize()?,
-        coarsen: s.flag()?,
-        fast_math: s.flag()?,
-        storage: match s.u8()? {
-            0 => StorageMode::Dense,
-            1 => StorageMode::Sparse,
-            2 => StorageMode::Auto,
-            _ => {
-                return Err(PersistError::Corrupt {
-                    context: "unknown storage-mode tag",
-                })
-            }
-        },
+        max_iterations,
+        batch,
+        coarsen,
+        storage,
     };
     if config.batch == 0 {
         return Err(PersistError::Corrupt {
@@ -1197,12 +1215,16 @@ pub(crate) fn assemble_checkpoint<S: ColumnSource>(
                 context: "reduced matrix length mismatch",
             });
         }
-        if dirty.iter().any(|&c| c as usize >= rk) {
+        // Ids at or past `rk` are pending column-removal markers left by
+        // merges; they always form the range `[rk, rk + m)` with
+        // `m <= dirty.len()`.
+        let dirty_bound = rk + dirty.len();
+        if dirty.iter().any(|&c| c as usize >= dirty_bound) {
             return Err(PersistError::Corrupt {
                 context: "reduced dirty color out of range",
             });
         }
-        let mut flagged = vec![false; rk];
+        let mut flagged = vec![false; dirty_bound];
         for &c in &dirty {
             if flagged[c as usize] {
                 return Err(PersistError::Corrupt {
@@ -1275,10 +1297,10 @@ pub fn write_checkpoint_file_with(
     }
     fs::rename(&tmp, path)?;
     if let Some(dir) = path.parent() {
-        // Persist the rename itself. Directory fsync is best-effort on
-        // platforms where opening a directory for write is not allowed.
+        // Persist the rename itself. Platforms that cannot open a
+        // directory as a file skip it.
         if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
+            d.sync_all()?;
         }
     }
     Ok(stats)

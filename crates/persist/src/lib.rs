@@ -44,7 +44,12 @@
 //! The scalar blob (block 0) packs dimensions, the full `RothkoConfig`
 //! (minus the non-persistable `initial` partition), run counters, engine
 //! mode flags, and the WAL coverage sequence, each as varints / raw f64
-//! bits in a fixed order. Blocks for absent state (no engine, dense
+//! bits in a fixed order. Two config slots are **reserved**: the optional
+//! u64 after `max_iterations` (formerly the engine thread count) is
+//! always written as `Some(1)` and ignored on read, and the flag byte
+//! after `coarsen` (formerly the relaxed-summation mode) is always written
+//! as 0 and rejected as corrupt when nonzero. Both stay so the format —
+//! and the checked-in golden fixtures — are unchanged. Blocks for absent state (no engine, dense
 //! storage, symmetric graphs) are simply omitted; presence flags in the
 //! scalar blob say which to expect.
 //!
@@ -144,4 +149,4 @@ pub use checkpoint::{
 pub use error::PersistError;
 pub use mapped::MappedStore;
 pub use store::{Recovered, Store, StoreOptions, CHECKPOINT_FILE};
-pub use wal::{last_wal_seq, read_wal, WalRecord, WalWriter, WAL_MAGIC, WAL_VERSION};
+pub use wal::{read_wal, WalRecord, WalWriter, WAL_MAGIC, WAL_VERSION};

@@ -42,7 +42,7 @@ use crate::checkpoint::{
 };
 use crate::error::PersistError;
 use crate::mapped::MappedStore;
-use crate::wal::{last_wal_seq, read_wal, WalRecord, WalWriter};
+use crate::wal::{read_wal, seal_wal_tail, WalRecord, WalWriter};
 
 /// File name of the checkpoint inside a store directory.
 pub const CHECKPOINT_FILE: &str = "CHECKPOINT";
@@ -115,16 +115,24 @@ impl Store {
     }
 
     /// Reopen an existing store for appending: the next record continues
-    /// the sequence after everything currently on disk (torn tails are
-    /// ignored, matching what recovery would replay). Opens a fresh
-    /// segment; it does not append into the old one.
+    /// the sequence after everything currently on disk. A torn tail is
+    /// cut off the last segment first (matching what recovery would
+    /// replay), because the fresh segment this opens turns that segment
+    /// into a sealed one.
     pub fn open(dir: &Path) -> Result<Self, PersistError> {
-        Self::open_at(dir, last_wal_seq(dir)?, StoreOptions::default())
+        let last_seq = seal_wal_tail(dir)?;
+        Self::with_writer(dir, last_seq, StoreOptions::default())
     }
 
     /// Reopen for appending with the next sequence number and options
-    /// made explicit (see [`Recovered::last_seq`]).
+    /// made explicit (see [`Recovered::last_seq`]). Cuts a torn tail off
+    /// the last segment first, as [`Self::open`] does.
     pub fn open_at(dir: &Path, last_seq: u64, options: StoreOptions) -> Result<Self, PersistError> {
+        seal_wal_tail(dir)?;
+        Self::with_writer(dir, last_seq, options)
+    }
+
+    fn with_writer(dir: &Path, last_seq: u64, options: StoreOptions) -> Result<Self, PersistError> {
         let wal = WalWriter::create(
             dir,
             last_seq + 1,
@@ -216,9 +224,9 @@ impl Store {
     }
 
     /// Rebuild the full stack from `dir`: load the checkpoint, then
-    /// replay the WAL tail through the public engine API. `threads`
-    /// overrides the checkpointed thread count when given (results are
-    /// thread-count independent; the pool is rebuilt either way).
+    /// replay the WAL tail through the public engine API. The second
+    /// parameter is a retired slot (it once overrode the engine thread
+    /// count): its type is uninhabited, so callers can only pass `None`.
     ///
     /// The checkpoint's layout is auto-detected from its header:
     /// mapped-layout (v2) files restore through a [`MappedStore`], so
@@ -227,7 +235,10 @@ impl Store {
     /// (v1) files — and any platform where zero-copy reinterpretation
     /// is unsound — take the owned decode path. Either way the
     /// recovered state is bit-identical.
-    pub fn recover(dir: &Path, threads: Option<usize>) -> Result<Recovered, PersistError> {
+    pub fn recover(
+        dir: &Path,
+        _retired: Option<std::convert::Infallible>,
+    ) -> Result<Recovered, PersistError> {
         let phases = std::env::var_os("QSC_PERSIST_PHASES").is_some();
         // qsc-audit: allow(no-wallclock-in-results) -- QSC_PERSIST_PHASES diagnostics; recovery timing feeds eprintln only, never the recovered state
         let t0 = std::time::Instant::now();
@@ -257,7 +268,7 @@ impl Store {
         }
         // qsc-audit: allow(no-wallclock-in-results) -- QSC_PERSIST_PHASES diagnostics; feeds eprintln only
         let t2 = std::time::Instant::now();
-        let out = replay(ck, records, threads);
+        let out = replay(ck, records);
         if phases {
             eprintln!("[persist] replay: {:.3}s", t2.elapsed().as_secs_f64());
         }
@@ -342,15 +353,8 @@ fn flush_edge_batches(
     pending.clear();
 }
 
-fn replay(
-    ck: CheckpointData,
-    records: Vec<(u64, WalRecord)>,
-    threads: Option<usize>,
-) -> Result<Recovered, PersistError> {
-    let mut config = ck.config;
-    if let Some(t) = threads {
-        config.threads = Some(t);
-    }
+fn replay(ck: CheckpointData, records: Vec<(u64, WalRecord)>) -> Result<Recovered, PersistError> {
+    let config = ck.config;
     // The checkpoint's graph moves straight into the run — no copy. The
     // replay's working graph (`delta`, the same compaction cycle the
     // writer's ingest loop ran) is cloned off lazily on the first record

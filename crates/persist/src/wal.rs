@@ -40,6 +40,12 @@
 //! scan-forward WAL): bytes after a damaged record in the last segment
 //! are unreachable, so a mid-segment bit flip there reads as a shorter
 //! log, not an error.
+//!
+//! Reopening a log for appending starts a new segment, which turns the
+//! old last segment into a sealed one. So before it opens that segment,
+//! the store's reopen path cuts a torn tail off the old last segment and
+//! fsyncs it; otherwise the next recovery would read the torn bytes as
+//! damage in a sealed segment.
 
 use std::fs;
 use std::io::Write as _;
@@ -497,10 +503,12 @@ fn parse_one_record(bytes: &[u8], pos: usize) -> Result<(u64, WalRecord, usize),
     Ok((seq, rec, pos + 8 + len))
 }
 
-/// Last sequence number present in `dir`'s WAL (0 when empty),
-/// tolerating a torn tail in the last segment. Used to reopen a store
-/// for appending.
-pub fn last_wal_seq(dir: &Path) -> Result<u64, PersistError> {
+/// Prepare `dir`'s WAL for appending after a restart: truncate the last
+/// segment to the end of its last valid frame and fsync it, then return
+/// the last sequence number present (0 when empty). A new segment opened
+/// afterwards turns the old last segment into a sealed one, where torn
+/// bytes would be a hard error.
+pub(crate) fn seal_wal_tail(dir: &Path) -> Result<u64, PersistError> {
     let segs = list_segments(dir)?;
     let Some((first_seq, path)) = segs.last() else {
         return Ok(0);
@@ -508,7 +516,8 @@ pub fn last_wal_seq(dir: &Path) -> Result<u64, PersistError> {
     let bytes = fs::read(path)?;
     let mut last = first_seq.saturating_sub(1);
     if bytes.len() < 24 {
-        // Torn before the header: the segment holds nothing.
+        // Torn inside its header: the segment holds no record, and the
+        // next segment takes its name and overwrites it.
         return Ok(last);
     }
     let mut pos = 24usize;
@@ -520,6 +529,11 @@ pub fn last_wal_seq(dir: &Path) -> Result<u64, PersistError> {
             }
             Err(_) => break,
         }
+    }
+    if pos < bytes.len() {
+        let file = fs::OpenOptions::new().write(true).open(path)?;
+        file.set_len(pos as u64)?;
+        file.sync_all()?;
     }
     Ok(last)
 }

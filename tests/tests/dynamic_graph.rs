@@ -9,8 +9,7 @@
 //! (`verify_against`), fresh `RothkoRun`s resumed from the same coloring,
 //! and the dense re-emitted reduced instance. Weights are multiples of 0.5
 //! so all sums are exact and equalities are required bit-for-bit, across
-//! dense / sparse (degrees-only) / symmetric engine modes and thread
-//! counts 1 and 4.
+//! dense / sparse (degrees-only) / symmetric engine modes.
 
 use qsc_core::q_error::IncrementalDegrees;
 use qsc_core::reduced::{quotient_matrix, PatchedReducedGraph, ReducedDelta};
@@ -120,9 +119,7 @@ fn engine_churn_matches_scratch_across_modes_and_threads() {
     for (directed, seed) in [(false, 5u64), (true, 23)] {
         let g = random_graph(60, 260, directed, seed);
         let mut p = Partition::unit(60);
-        let mut dense1 = IncrementalDegrees::new_with_threads(&g, &p, 1);
-        let mut dense4 = IncrementalDegrees::new_with_threads(&g, &p, 4);
-        dense4.set_parallel_thresholds(1, 1);
+        let mut dense1 = IncrementalDegrees::new(&g, &p);
         let mut sparse = IncrementalDegrees::new_degrees_only(&g, &p);
         let mut churner = Churner::new(g, seed ^ 0xc0ffee);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
@@ -133,28 +130,22 @@ fn engine_churn_matches_scratch_across_modes_and_threads() {
             for _ in 0..2 {
                 if let Some(ev) = random_split(&mut p, &mut rng) {
                     dense1.apply_split(&current, &p, &ev);
-                    dense4.apply_split(&current, &p, &ev);
                     sparse.apply_split(&current, &p, &ev);
                 }
             }
             let events = churner.batch(14);
             dense1.apply_edge_batch(&p, &events);
-            dense4.apply_edge_batch(&p, &events);
             sparse.apply_edge_batch(&p, &events);
             current = churner.delta.compact();
             assert_eq!(dense1.verify_against(&current, &p), Ok(()), "round {round}");
-            assert_eq!(dense4.verify_against(&current, &p), Ok(()), "round {round}");
             assert_eq!(sparse.verify_against(&current, &p), Ok(()), "round {round}");
-            // Witness state: bit-identical across thread counts and to a
-            // freshly built engine on the compacted graph.
+            // Witness state: bit-identical to a freshly built engine on
+            // the compacted graph.
             dense1.refresh(&p, 1.0);
-            dense4.refresh(&p, 1.0);
             let mut fresh = IncrementalDegrees::new(&current, &p);
             fresh.refresh(&p, 1.0);
             assert_eq!(dense1.max_error().to_bits(), fresh.max_error().to_bits());
-            assert_eq!(dense4.max_error().to_bits(), fresh.max_error().to_bits());
             assert_eq!(dense1.pick_witness(&p, 1.0), fresh.pick_witness(&p, 1.0));
-            assert_eq!(dense4.pick_witness(&p, 1.0), fresh.pick_witness(&p, 1.0));
         }
     }
 }
@@ -162,61 +153,49 @@ fn engine_churn_matches_scratch_across_modes_and_threads() {
 #[test]
 fn maintained_run_equals_fresh_run_on_compacted_graph() {
     for (directed, seed) in [(false, 11u64), (true, 41)] {
-        // The same churn schedule replayed at both thread counts: the
-        // maintained colorings must match a fresh run resumed from the
-        // pre-batch coloring on the compacted graph — and each other —
-        // bit-for-bit, at every round.
-        let mut per_thread: Vec<Vec<Vec<u32>>> = Vec::new();
-        for threads in [1usize, 4] {
-            let g = random_graph(120, 520, directed, seed);
-            let config = RothkoConfig {
-                max_colors: 60,
-                target_error: 3.0,
-                threads: Some(threads),
-                ..Default::default()
+        // The maintained colorings must match a fresh run resumed from
+        // the pre-batch coloring on the compacted graph bit-for-bit, at
+        // every round.
+        let g = random_graph(120, 520, directed, seed);
+        let config = RothkoConfig {
+            max_colors: 60,
+            target_error: 3.0,
+            ..Default::default()
+        };
+        let mut run = Rothko::new(config.clone()).start(&g);
+        run.maintain();
+        let mut churner = Churner::new(g.clone(), seed ^ 0xfeed);
+        for round in 0..4 {
+            let events = churner.batch(16);
+            let compacted = churner.delta.compact();
+            run.apply_edge_batch(compacted.clone(), &events);
+            let before = run.partition().clone();
+            let splits = run.maintain();
+            // The (q, k) invariant holds again unless the color budget
+            // is exhausted.
+            let err = run.exact_max_error();
+            assert!(
+                err <= 3.0 || run.partition().num_colors() == 60,
+                "round {round}: error {err} above target with colors to spare"
+            );
+            // A fresh run resumed from the pre-batch coloring on the
+            // compacted graph performs the identical splits.
+            let fresh_config = RothkoConfig {
+                initial: Some(before),
+                ..config.clone()
             };
-            let mut run = Rothko::new(config.clone()).start(&g);
-            run.maintain();
-            let mut churner = Churner::new(g.clone(), seed ^ 0xfeed);
-            let mut assignments = Vec::new();
-            for round in 0..4 {
-                let events = churner.batch(16);
-                let compacted = churner.delta.compact();
-                run.apply_edge_batch(compacted.clone(), &events);
-                let before = run.partition().clone();
-                let splits = run.maintain();
-                // The (q, k) invariant holds again unless the color budget
-                // is exhausted.
-                let err = run.exact_max_error();
-                assert!(
-                    err <= 3.0 || run.partition().num_colors() == 60,
-                    "round {round}: error {err} above target with colors to spare"
-                );
-                // A fresh run resumed from the pre-batch coloring on the
-                // compacted graph performs the identical splits.
-                let fresh_config = RothkoConfig {
-                    initial: Some(before),
-                    ..config.clone()
-                };
-                let mut fresh = Rothko::new(fresh_config).start(&compacted);
-                let fresh_splits = fresh.maintain();
-                assert_eq!(splits, fresh_splits, "round {round} split count");
-                assert!(
-                    run.partition().same_as(fresh.partition()),
-                    "round {round}: maintained coloring differs from fresh run (threads {threads})"
-                );
-                assert_eq!(
-                    run.exact_max_error().to_bits(),
-                    fresh.exact_max_error().to_bits()
-                );
-                assignments.push(run.partition().canonical_assignment());
-            }
-            per_thread.push(assignments);
+            let mut fresh = Rothko::new(fresh_config).start(&compacted);
+            let fresh_splits = fresh.maintain();
+            assert_eq!(splits, fresh_splits, "round {round} split count");
+            assert!(
+                run.partition().same_as(fresh.partition()),
+                "round {round}: maintained coloring differs from fresh run"
+            );
+            assert_eq!(
+                run.exact_max_error().to_bits(),
+                fresh.exact_max_error().to_bits()
+            );
         }
-        assert_eq!(
-            per_thread[0], per_thread[1],
-            "thread counts diverged (directed={directed}, seed={seed})"
-        );
     }
 }
 
@@ -308,53 +287,42 @@ fn node_churn_round(
 #[test]
 fn node_churn_maintained_run_equals_fresh_run() {
     for (directed, seed) in [(false, 19u64), (true, 61)] {
-        let mut per_thread: Vec<Vec<Vec<u32>>> = Vec::new();
-        for threads in [1usize, 4] {
-            let g = random_graph(100, 420, directed, seed);
-            let config = RothkoConfig {
-                max_colors: 50,
-                target_error: 3.0,
-                threads: Some(threads),
-                coarsen: true,
-                ..Default::default()
+        let g = random_graph(100, 420, directed, seed);
+        let config = RothkoConfig {
+            max_colors: 50,
+            target_error: 3.0,
+            coarsen: true,
+            ..Default::default()
+        };
+        let mut run = Rothko::new(config.clone()).start(&g);
+        run.maintain();
+        let mut delta = GraphDelta::new(g.clone());
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0DE5);
+        for round in 0..4 {
+            let (batch, compacted) =
+                node_churn_round(&mut delta, run.partition(), &mut rng, 4, 3, 3);
+            run.apply_node_batch(compacted.clone(), &batch);
+            let checkpoint = run.partition().clone();
+            let ops = run.maintain();
+            let err = run.exact_max_error();
+            assert!(
+                err <= 3.0 || run.partition().num_colors() == 50,
+                "round {round}: error {err} above target with colors to spare"
+            );
+            // A fresh run resumed from the post-batch coloring on the
+            // compacted graph performs identical operations.
+            let fresh_config = RothkoConfig {
+                initial: Some(checkpoint),
+                ..config.clone()
             };
-            let mut run = Rothko::new(config.clone()).start(&g);
-            run.maintain();
-            let mut delta = GraphDelta::new(g.clone());
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x0DE5);
-            let mut assignments = Vec::new();
-            for round in 0..4 {
-                let (batch, compacted) =
-                    node_churn_round(&mut delta, run.partition(), &mut rng, 4, 3, 3);
-                run.apply_node_batch(compacted.clone(), &batch);
-                let checkpoint = run.partition().clone();
-                let ops = run.maintain();
-                let err = run.exact_max_error();
-                assert!(
-                    err <= 3.0 || run.partition().num_colors() == 50,
-                    "round {round}: error {err} above target with colors to spare"
-                );
-                // A fresh run resumed from the post-batch coloring on the
-                // compacted graph performs identical operations.
-                let fresh_config = RothkoConfig {
-                    initial: Some(checkpoint),
-                    ..config.clone()
-                };
-                let mut fresh = Rothko::new(fresh_config).start(&compacted);
-                let fresh_ops = fresh.maintain();
-                assert_eq!(ops, fresh_ops, "round {round} operation count");
-                assert!(
-                    run.partition().same_as(fresh.partition()),
-                    "round {round}: maintained coloring differs (threads {threads})"
-                );
-                assignments.push(run.partition().canonical_assignment());
-            }
-            per_thread.push(assignments);
+            let mut fresh = Rothko::new(fresh_config).start(&compacted);
+            let fresh_ops = fresh.maintain();
+            assert_eq!(ops, fresh_ops, "round {round} operation count");
+            assert!(
+                run.partition().same_as(fresh.partition()),
+                "round {round}: maintained coloring differs"
+            );
         }
-        assert_eq!(
-            per_thread[0], per_thread[1],
-            "thread counts diverged (directed={directed}, seed={seed})"
-        );
     }
 }
 

@@ -3,15 +3,13 @@
 //! Coarsening (merges picked by the post-merge q-error bound) composed
 //! with re-refinement must stay on the deterministic path: a maintained
 //! run that coarsens and then resplits is bit-identical to a fresh run
-//! started from the resulting partition, across thread counts {1, 4}, and
-//! every incremental consumer (engine, reduced delta, patched emitters)
-//! mirrors the merges exactly. Weights are multiples of 0.5 so all sums
+//! started from the resulting partition, and every incremental consumer
+//! (engine, reduced delta, patched emitters) mirrors the merges exactly. Weights are multiples of 0.5 so all sums
 //! are exact and equalities are required bit-for-bit.
 
-use qsc_core::q_error::IncrementalDegrees;
 use qsc_core::reduced::ReducedDelta;
 use qsc_core::rothko::{Rothko, RothkoConfig};
-use qsc_core::{Partition, PartitionEvent};
+use qsc_core::PartitionEvent;
 use qsc_graph::{Graph, GraphBuilder, GraphDelta};
 use rand::prelude::*;
 
@@ -37,100 +35,88 @@ fn random_graph(n: usize, edges: usize, directed: bool, seed: u64) -> Graph {
 #[test]
 fn coarsen_then_resplit_is_bit_identical_to_fresh_run() {
     for (directed, seed) in [(false, 9u64), (true, 47)] {
-        // The same schedule at both thread counts: (1) refine to the
-        // target, (2) delete edges until maintenance coarsens, (3) insert
-        // edges so maintenance resplits — comparing against a fresh run
-        // started from the same checkpoint at every stage.
-        let mut per_thread: Vec<Vec<Vec<u32>>> = Vec::new();
-        for threads in [1usize, 4] {
-            let g = random_graph(100, 420, directed, seed);
-            let config = RothkoConfig {
-                max_colors: 50,
-                target_error: 4.0,
-                threads: Some(threads),
-                coarsen: true,
-                ..Default::default()
-            };
-            let mut run = Rothko::new(config.clone()).start(&g);
-            run.maintain();
-            let mut assignments = vec![run.partition().canonical_assignment()];
-            let mut delta = GraphDelta::new(g.clone());
-            let mut edges: Vec<(u32, u32)> = g.edges().iter().map(|&(u, v, _)| (u, v)).collect();
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xD00D);
+        // (1) Refine to the target, (2) delete edges until maintenance
+        // coarsens, (3) insert edges so maintenance resplits — comparing
+        // against a fresh run started from the same checkpoint at every
+        // stage.
+        let g = random_graph(100, 420, directed, seed);
+        let config = RothkoConfig {
+            max_colors: 50,
+            target_error: 4.0,
+            coarsen: true,
+            ..Default::default()
+        };
+        let mut run = Rothko::new(config.clone()).start(&g);
+        run.maintain();
+        let mut delta = GraphDelta::new(g.clone());
+        let mut edges: Vec<(u32, u32)> = g.edges().iter().map(|&(u, v, _)| (u, v)).collect();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xD00D);
 
-            // Stage 2: delete 60% of the edges — churn that lowers the
-            // error, so a coarsening maintenance can shrink k.
-            let keep = edges.len() * 2 / 5;
-            while edges.len() > keep {
-                let i = rng.random_range(0..edges.len());
-                let (u, v) = edges.swap_remove(i);
-                delta.delete_edge(u, v).unwrap();
-            }
-            let events = delta.drain_events();
-            let compacted = delta.compact();
-            run.apply_edge_batch(compacted.clone(), &events);
-            let checkpoint = run.partition().clone();
-            let k_before = checkpoint.num_colors();
-            run.maintain();
-            let merges_after_deletes = run.merges();
-            // Cross-check against a fresh run from the checkpoint.
-            let fresh_config = RothkoConfig {
-                initial: Some(checkpoint),
-                ..config.clone()
-            };
-            let mut fresh = Rothko::new(fresh_config).start(&compacted);
-            fresh.maintain();
-            assert!(
-                run.partition().same_as(fresh.partition()),
-                "post-coarsen coloring differs from fresh run (threads {threads})"
-            );
-            assert_eq!(fresh.merges(), merges_after_deletes);
-            assert!(
-                run.partition().num_colors() <= k_before,
-                "coarsening must not grow k"
-            );
-            assignments.push(run.partition().canonical_assignment());
+        // Stage 2: delete 60% of the edges — churn that lowers the
+        // error, so a coarsening maintenance can shrink k.
+        let keep = edges.len() * 2 / 5;
+        while edges.len() > keep {
+            let i = rng.random_range(0..edges.len());
+            let (u, v) = edges.swap_remove(i);
+            delta.delete_edge(u, v).unwrap();
+        }
+        let events = delta.drain_events();
+        let compacted = delta.compact();
+        run.apply_edge_batch(compacted.clone(), &events);
+        let checkpoint = run.partition().clone();
+        let k_before = checkpoint.num_colors();
+        run.maintain();
+        let merges_after_deletes = run.merges();
+        // Cross-check against a fresh run from the checkpoint.
+        let fresh_config = RothkoConfig {
+            initial: Some(checkpoint),
+            ..config.clone()
+        };
+        let mut fresh = Rothko::new(fresh_config).start(&compacted);
+        fresh.maintain();
+        assert!(
+            run.partition().same_as(fresh.partition()),
+            "post-coarsen coloring differs from fresh run"
+        );
+        assert_eq!(fresh.merges(), merges_after_deletes);
+        assert!(
+            run.partition().num_colors() <= k_before,
+            "coarsening must not grow k"
+        );
 
-            // Stage 3: insert fresh edges — churn that raises the error,
-            // so maintenance resplits.
-            for _ in 0..edges.len() / 2 {
-                loop {
-                    let u = rng.random_range(0..100) as u32;
-                    let v = rng.random_range(0..100) as u32;
-                    if u != v && !delta.has_edge(u, v) {
-                        let w = (rng.random_range(4u32..9) as f64) * 0.5;
-                        delta.insert_edge(u, v, w).unwrap();
-                        edges.push((u, v));
-                        break;
-                    }
+        // Stage 3: insert fresh edges — churn that raises the error,
+        // so maintenance resplits.
+        for _ in 0..edges.len() / 2 {
+            loop {
+                let u = rng.random_range(0..100) as u32;
+                let v = rng.random_range(0..100) as u32;
+                if u != v && !delta.has_edge(u, v) {
+                    let w = (rng.random_range(4u32..9) as f64) * 0.5;
+                    delta.insert_edge(u, v, w).unwrap();
+                    edges.push((u, v));
+                    break;
                 }
             }
-            let events = delta.drain_events();
-            let compacted = delta.compact();
-            run.apply_edge_batch(compacted.clone(), &events);
-            let checkpoint = run.partition().clone();
-            run.maintain();
-            let fresh_config = RothkoConfig {
-                initial: Some(checkpoint),
-                ..config.clone()
-            };
-            let mut fresh = Rothko::new(fresh_config).start(&compacted);
-            fresh.maintain();
-            assert!(
-                run.partition().same_as(fresh.partition()),
-                "post-resplit coloring differs from fresh run (threads {threads})"
-            );
-            let err = run.exact_max_error();
-            assert!(
-                err <= 4.0 || run.partition().num_colors() == 50,
-                "error {err} above target with colors to spare"
-            );
-            assignments.push(run.partition().canonical_assignment());
-            per_thread.push(assignments);
         }
-        assert_eq!(
-            per_thread[0], per_thread[1],
-            "thread counts diverged (directed={directed}, seed={seed})"
+        let events = delta.drain_events();
+        let compacted = delta.compact();
+        run.apply_edge_batch(compacted.clone(), &events);
+        let checkpoint = run.partition().clone();
+        run.maintain();
+        let fresh_config = RothkoConfig {
+            initial: Some(checkpoint),
+            ..config.clone()
+        };
+        let mut fresh = Rothko::new(fresh_config).start(&compacted);
+        fresh.maintain();
+        assert!(
+            run.partition().same_as(fresh.partition()),
+            "post-resplit coloring differs from fresh run"
+        );
+        let err = run.exact_max_error();
+        assert!(
+            err <= 4.0 || run.partition().num_colors() == 50,
+            "error {err} above target with colors to spare"
         );
     }
 }
@@ -285,46 +271,5 @@ fn coarsening_chains_collapse_with_arbitrary_bound_order() {
         let mut fresh = Rothko::new(with_initial).start(&g);
         fresh.maintain();
         assert!(run.partition().same_as(fresh.partition()));
-    }
-}
-
-#[test]
-fn sharded_merge_paths_match_serial_engine() {
-    // Force the pool thresholds to zero so merges exercise the sharded
-    // member-axis rebuilds and entry rescans, and pin bit-identity to the
-    // serial engine.
-    for (directed, seed) in [(false, 15u64), (true, 55)] {
-        let g = random_graph(70, 320, directed, seed);
-        let mut p = Partition::unit(70);
-        let mut serial = IncrementalDegrees::new_with_threads(&g, &p, 1);
-        let mut sharded = IncrementalDegrees::new_with_threads(&g, &p, 4);
-        sharded.set_parallel_thresholds(1, 1);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xACE);
-        for _ in 0..10 {
-            let k = p.num_colors();
-            let candidates: Vec<u32> = (0..k as u32).filter(|&c| p.size(c) >= 2).collect();
-            let Some(&c) = candidates.as_slice().choose(&mut rng) else {
-                break;
-            };
-            let members: Vec<u32> = p.members(c).to_vec();
-            let pivot = members[rng.random_range(0..members.len())];
-            if let Some(ev) = p.split_color(c, |v| v >= pivot && v != members[0]) {
-                serial.apply_split(&g, &p, &ev);
-                sharded.apply_split(&g, &p, &ev);
-            }
-        }
-        while p.num_colors() > 1 {
-            let cand = serial.pick_merge(f64::INFINITY).expect("pairs remain");
-            assert_eq!(cand, sharded.pick_merge(f64::INFINITY).expect("pairs"));
-            let ev = p.merge_colors(cand.winner, cand.loser);
-            serial.apply_merge(&g, &p, &ev);
-            sharded.apply_merge(&g, &p, &ev);
-            assert_eq!(serial.verify_against(&g, &p), Ok(()));
-            assert_eq!(sharded.verify_against(&g, &p), Ok(()));
-            serial.refresh(&p, 1.0);
-            sharded.refresh(&p, 1.0);
-            assert_eq!(serial.max_error().to_bits(), sharded.max_error().to_bits());
-            assert_eq!(serial.pick_witness(&p, 1.0), sharded.pick_witness(&p, 1.0));
-        }
     }
 }

@@ -59,7 +59,6 @@ fn small_stack(seed: u64) -> (Graph, RothkoRun<'static>, ReducedDelta) {
     let config = RothkoConfig {
         max_colors: 12,
         target_error: 3.0,
-        threads: Some(1),
         ..Default::default()
     };
     let mut run = Rothko::new(config.clone()).start(&g);
@@ -278,6 +277,50 @@ fn torn_wal_tail_recovers_to_last_complete_batch() {
     }
     fs::write(&seg_path, &pristine).unwrap();
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn reopen_after_torn_tail_keeps_every_acknowledged_record() {
+    // A crash leaves a partial frame at the end of the open segment;
+    // reopening starts a new segment, so the torn segment is no longer
+    // the last one. Its torn bytes must not turn into "damage in a sealed
+    // segment" once more records are acknowledged after the reopen.
+    let (dir, _) = store_with_batches("reopen-torn", 3);
+    let (clean_dir, _) = store_with_batches("reopen-clean", 3);
+    let seg_path = open_segment(&dir);
+    let mut seg = fs::read(&seg_path).unwrap();
+    assert_eq!(record_boundaries(&seg).len(), 4, "3 records expected");
+    // The first 5 bytes of a frame header: a record torn mid-write.
+    seg.extend_from_slice(&[0x2a, 0x00, 0x00, 0x00, 0x7f]);
+    fs::write(&seg_path, &seg).unwrap();
+    for d in [&dir, &clean_dir] {
+        let mut store = Store::open(d).unwrap();
+        assert_eq!(store.log_maintain().unwrap(), 4);
+        store.sync().unwrap();
+    }
+
+    let records = read_wal(&dir, 0).unwrap_or_else(|e| panic!("read_wal after reopen: {e}"));
+    let seqs: Vec<u64> = records.iter().map(|&(s, _)| s).collect();
+    assert_eq!(seqs, vec![1, 2, 3, 4], "every acknowledged record is read");
+    assert_eq!(records, read_wal(&clean_dir, 0).unwrap());
+
+    let rec = Store::recover(&dir, None).unwrap_or_else(|e| panic!("recover after reopen: {e}"));
+    let clean = Store::recover(&clean_dir, None).unwrap();
+    assert_eq!(rec.replayed, 4);
+    assert_eq!(rec.last_seq, 4);
+    let state = |r: &qsc_persist::Recovered| {
+        encode_checkpoint(&CheckpointData {
+            graph: r.run.graph().clone(),
+            config: r.run.config().clone(),
+            run: r.run.snapshot(),
+            reduced: r.reduced.as_ref().map(ReducedDelta::snapshot),
+            wal_seq: 0,
+        })
+        .0
+    };
+    assert_eq!(state(&rec), state(&clean), "recovered state diverged");
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&clean_dir);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! must keep decoding **and** re-encoding to the exact same bytes.
 //!
 //! The fixture is built from a fully deterministic stack (hand-coded
-//! graph, single thread, fixed config), so any byte difference means the
+//! graph, fixed config), so any byte difference means the
 //! on-disk format itself changed. That is only allowed together with a
 //! `CHECKPOINT_VERSION` bump and a reader for the old version — see the
 //! versioning policy in the `qsc_persist` crate docs. Regenerate with
@@ -28,7 +28,7 @@ fn fixture_path_v2() -> PathBuf {
 }
 
 /// Deterministic miniature stack: two weighted cliques joined by a
-/// bridge, maintained at a single thread.
+/// bridge.
 fn golden_data() -> CheckpointData {
     let mut b = GraphBuilder::new_undirected(10);
     for c in [0u32, 5] {
@@ -44,7 +44,6 @@ fn golden_data() -> CheckpointData {
     let config = RothkoConfig {
         max_colors: 6,
         target_error: 1.0,
-        threads: Some(1),
         ..Default::default()
     };
     let mut run = Rothko::new(config.clone()).start(&g);

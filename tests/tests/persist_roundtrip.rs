@@ -11,8 +11,7 @@
 //! args, nonzero counts, sparse rows and the reduced instance, all
 //! through `to_bits`). Restored stacks are then *advanced* through more
 //! batches alongside the never-persisted one and must stay byte-equal.
-//! Runs across Dense / Sparse / Auto storage × threads {1, 4} × both
-//! graph directions, with weights kept at multiples of 0.5 so sums are
+//! Runs across Dense / Sparse / Auto storage × both graph directions, with weights kept at multiples of 0.5 so sums are
 //! exact (the same regime as the rest of the dynamic suite). A proptest
 //! harness fuzzes randomized trace schedules on top.
 
@@ -26,7 +25,10 @@ use qsc_core::rothko::{Rothko, RothkoConfig, RothkoRun};
 use qsc_core::StorageMode;
 use qsc_graph::delta::EdgeEvent;
 use qsc_graph::{Graph, GraphBuilder, GraphDelta};
-use qsc_persist::{encode_checkpoint, CheckpointData, Layout, Store, StoreOptions};
+use qsc_persist::{
+    decode_checkpoint, encode_checkpoint, encode_checkpoint_with, CheckpointData, Layout, Store,
+    StoreOptions,
+};
 use rand::prelude::*;
 
 /// Fresh scratch directory under the system temp dir.
@@ -181,23 +183,15 @@ fn live_maintain(
     });
 }
 
-/// Drive a full trace for one (storage, threads, directed, seed) cell,
+/// Drive a full trace for one (storage, directed, seed) cell,
 /// recovering and comparing after every round and once more after
 /// advancing the recovered stack in lockstep with the live one.
-fn roundtrip_trace(
-    storage: StorageMode,
-    threads: usize,
-    directed: bool,
-    seed: u64,
-    rounds: usize,
-    layout: Layout,
-) {
+fn roundtrip_trace(storage: StorageMode, directed: bool, seed: u64, rounds: usize, layout: Layout) {
     let dir = temp_store_dir("trace");
     let g = random_graph(70, 300, directed, seed);
     let config = RothkoConfig {
         max_colors: 36,
         target_error: 3.0,
-        threads: Some(threads),
         storage,
         ..Default::default()
     };
@@ -234,8 +228,8 @@ fn roundtrip_trace(
         assert_eq!(
             state_bytes(&run, Some(&reduced)),
             state_bytes(&rec.run, rec.reduced.as_ref()),
-            "restored state diverged (storage {storage:?}, threads {threads}, \
-             directed {directed}, round {round})"
+            "restored state diverged (storage {storage:?}, directed {directed}, \
+             round {round})"
         );
     }
     // Restored-then-advanced: one more batch + maintain applied to both
@@ -262,8 +256,7 @@ fn roundtrip_trace(
     assert_eq!(
         state_bytes(&run, Some(&reduced)),
         state_bytes(&rec_run, Some(&rec_reduced)),
-        "advanced-after-restore state diverged (storage {storage:?}, threads {threads}, \
-         directed {directed})"
+        "advanced-after-restore state diverged (storage {storage:?}, directed {directed})"
     );
     assert_eq!(
         reduced.verify_against(&run.graph().clone(), run.partition()),
@@ -275,10 +268,8 @@ fn roundtrip_trace(
 #[test]
 fn restored_stack_is_bit_identical_across_modes_and_threads() {
     for storage in [StorageMode::Dense, StorageMode::Sparse, StorageMode::Auto] {
-        for threads in [1usize, 4] {
-            for (directed, seed) in [(false, 17u64), (true, 53)] {
-                roundtrip_trace(storage, threads, directed, seed, 3, Layout::Packed);
-            }
+        for (directed, seed) in [(false, 17u64), (true, 53)] {
+            roundtrip_trace(storage, directed, seed, 3, Layout::Packed);
         }
     }
 }
@@ -289,10 +280,8 @@ fn restored_stack_is_bit_identical_from_mapped_checkpoints() {
     // (mapped raw) checkpoints and recovery serves the large columns
     // zero-copy out of the map. Bit-identity must hold regardless.
     for storage in [StorageMode::Dense, StorageMode::Sparse, StorageMode::Auto] {
-        for threads in [1usize, 4] {
-            for (directed, seed) in [(false, 17u64), (true, 53)] {
-                roundtrip_trace(storage, threads, directed, seed, 3, Layout::MappedRaw);
-            }
+        for (directed, seed) in [(false, 17u64), (true, 53)] {
+            roundtrip_trace(storage, directed, seed, 3, Layout::MappedRaw);
         }
     }
 }
@@ -300,13 +289,12 @@ fn restored_stack_is_bit_identical_from_mapped_checkpoints() {
 /// Mapped restore and owned restore of the same store, advanced through
 /// identical churn rounds, must stay bit-identical at every step — the
 /// engine must not be able to observe which memory its columns sit on.
-fn mapped_vs_owned_equivalence(threads: usize) {
+fn mapped_vs_owned_equivalence() {
     let dir = temp_store_dir("mapped-eq");
     let g = random_graph(70, 300, false, 29);
     let config = RothkoConfig {
         max_colors: 36,
         target_error: 3.0,
-        threads: Some(threads),
         ..Default::default()
     };
     let mut run = Rothko::new(config).start(&g);
@@ -337,7 +325,7 @@ fn mapped_vs_owned_equivalence(threads: usize) {
     assert_eq!(
         state_bytes(&owned_run, Some(&owned_reduced)),
         state_bytes(&rec_run, Some(&rec_reduced)),
-        "mapped and owned restores diverged before any churn (threads {threads})"
+        "mapped and owned restores diverged before any churn"
     );
 
     // Three rounds of identical churn + maintenance applied to both.
@@ -363,7 +351,7 @@ fn mapped_vs_owned_equivalence(threads: usize) {
         assert_eq!(
             state_bytes(&owned_run, Some(&owned_reduced)),
             state_bytes(&rec_run, Some(&rec_reduced)),
-            "mapped and owned stacks diverged after churn round {round} (threads {threads})"
+            "mapped and owned stacks diverged after churn round {round}"
         );
     }
     assert_eq!(
@@ -375,8 +363,7 @@ fn mapped_vs_owned_equivalence(threads: usize) {
 
 #[test]
 fn mapped_restore_matches_owned_restore_under_churn() {
-    mapped_vs_owned_equivalence(1);
-    mapped_vs_owned_equivalence(4);
+    mapped_vs_owned_equivalence();
 }
 
 #[test]
@@ -388,7 +375,6 @@ fn mapped_store_queries_match_recovered_run() {
     let config = RothkoConfig {
         max_colors: 24,
         target_error: 3.0,
-        threads: Some(1),
         ..Default::default()
     };
     let mut run = Rothko::new(config).start(&g);
@@ -434,7 +420,6 @@ fn recovery_is_idempotent_and_reports_coverage() {
     let config = RothkoConfig {
         max_colors: 24,
         target_error: 3.0,
-        threads: Some(1),
         ..Default::default()
     };
     let mut run = Rothko::new(config).start(&g);
@@ -485,57 +470,80 @@ fn recovery_is_idempotent_and_reports_coverage() {
 }
 
 #[test]
-fn thread_override_on_recovery_preserves_results() {
-    // Recovering a 1-thread store with 4 threads (and vice versa) changes
-    // only the pool; coloring, error bits and reduced state must match.
-    let dir = temp_store_dir("threads");
-    let g = random_graph(60, 260, true, 5);
+fn coarsened_stack_checkpoints_and_restores() {
+    // A merge marks the removed color's old id (now == k) dirty as a
+    // column-removal marker. The checkpoint must carry that pending
+    // marker through encode, decode and `ReducedDelta::from_snapshot`.
+    let g = random_graph(60, 260, false, 21);
     let config = RothkoConfig {
-        max_colors: 30,
+        max_colors: 40,
         target_error: 3.0,
-        threads: Some(1),
+        coarsen: true,
         ..Default::default()
     };
     let mut run = Rothko::new(config).start(&g);
     run.maintain();
     let mut reduced = ReducedDelta::new(&g, run.partition());
-    let mut store = Store::create(&dir, StoreOptions::default()).unwrap();
-    store.checkpoint(&run, Some(&reduced)).unwrap();
-    let mut delta = GraphDelta::new(g.clone());
-    let mut rng = StdRng::seed_from_u64(31);
-    live_edge_batch(&mut store, &mut run, &mut reduced, &mut delta, &mut rng, 10);
-    let base = delta.compact();
-    live_maintain(&mut store, &mut run, &mut reduced, &base);
-    store.sync().unwrap();
-
-    let rec = Store::recover(&dir, Some(4)).unwrap();
-    let mut rec_run = rec.run;
-    assert_eq!(rec_run.config().threads, Some(4));
-    assert!(run.partition().same_as(rec_run.partition()));
-    assert_eq!(
-        run.exact_max_error().to_bits(),
-        rec_run.exact_max_error().to_bits()
+    reduced.take_dirty_colors();
+    // Deleting every edge makes every post-merge bound zero, so the
+    // maintenance pass merges.
+    let mut gd = GraphDelta::new(g.clone());
+    for &(u, v, _) in &g.edges() {
+        gd.delete_edge(u, v).unwrap();
+    }
+    let events = gd.drain_events();
+    let compacted = gd.compact();
+    run.apply_edge_batch(compacted.clone(), &events);
+    reduced.apply_edge_batch(run.partition(), &events);
+    run.maintain_with(|p, ev| match ev {
+        PartitionEvent::Split(s) => reduced.apply_split(&compacted, p, s),
+        PartitionEvent::Merge(m) => reduced.apply_merge(m),
+        _ => {}
+    });
+    assert!(run.merges() > 0, "the pass must merge");
+    let snap = reduced.snapshot();
+    assert!(
+        snap.dirty.iter().any(|&c| c as usize >= snap.k),
+        "a removal marker is pending"
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    for layout in [Layout::Packed, Layout::MappedRaw] {
+        let data = CheckpointData {
+            graph: run.graph().clone(),
+            config: run.config().clone(),
+            run: run.snapshot(),
+            reduced: Some(snap.clone()),
+            wal_seq: 0,
+        };
+        let (bytes, _) = encode_checkpoint_with(&data, layout);
+        let decoded = decode_checkpoint(&bytes)
+            .unwrap_or_else(|e| panic!("{layout:?} checkpoint with a merge marker: {e}"));
+        let decoded_snap = decoded.reduced.expect("reduced instance persisted");
+        assert_eq!(decoded_snap, snap);
+        let mut restored = ReducedDelta::from_snapshot(&decoded_snap);
+        assert_eq!(restored.verify_against(&compacted, run.partition()), Ok(()));
+        assert_eq!(restored.snapshot(), snap);
+        assert_eq!(
+            restored.take_dirty_colors(),
+            reduced.clone().take_dirty_colors()
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Fuzzed trace schedules: random storage mode, thread count,
-    /// direction, round count and churn sizes — every recovery must be
+    /// Fuzzed trace schedules: random storage mode, direction, round
+    /// count and churn sizes — every recovery must be
     /// byte-identical to the live stack.
     #[test]
     fn fuzzed_traces_roundtrip(
         seed in any::<u64>(),
         storage_idx in 0usize..3,
-        threads_idx in 0usize..2,
         directed in any::<bool>(),
         rounds in 1usize..4,
     ) {
         let storage = [StorageMode::Dense, StorageMode::Sparse, StorageMode::Auto][storage_idx];
-        let threads = [1usize, 4][threads_idx];
-        roundtrip_trace(storage, threads, directed, seed, rounds, Layout::Packed);
+        roundtrip_trace(storage, directed, seed, rounds, Layout::Packed);
     }
 
     /// The same fuzzed schedules against version-2 mapped checkpoints:
@@ -545,12 +553,10 @@ proptest! {
     fn fuzzed_traces_roundtrip_mapped(
         seed in any::<u64>(),
         storage_idx in 0usize..3,
-        threads_idx in 0usize..2,
         directed in any::<bool>(),
         rounds in 1usize..4,
     ) {
         let storage = [StorageMode::Dense, StorageMode::Sparse, StorageMode::Auto][storage_idx];
-        let threads = [1usize, 4][threads_idx];
-        roundtrip_trace(storage, threads, directed, seed, rounds, Layout::MappedRaw);
+        roundtrip_trace(storage, directed, seed, rounds, Layout::MappedRaw);
     }
 }

@@ -5,12 +5,12 @@
 //! — dense `n × k` matrices vs tiered sparse rows must never change a
 //! single observable bit. This suite pins that over mixed
 //! split/merge/node-churn/edge-batch traces on dense and symmetric random
-//! graphs, at threads 1 and 4 (with parallel thresholds forced down so the
-//! sharded apply/rescan/axis paths actually run): colorings, witness
-//! sequences, q-error bits, q-reports and reduced emissions all compared
-//! across every storage mode × thread count combination. Weights are
+//! graphs: colorings, witness sequences, q-error bits, q-reports and
+//! reduced emissions all compared across every storage mode. Weights are
 //! multiples of 0.5 so all sums are exact and equalities can be required
-//! bit-for-bit.
+//! bit-for-bit — except in the large-split case, which runs the chunked
+//! touched accumulation on non-dyadic weights, where the modes must still
+//! agree bit for bit because they share one summation order.
 
 use qsc_core::q_error::IncrementalDegrees;
 use qsc_core::reduced::quotient_matrix;
@@ -93,21 +93,15 @@ fn random_split(p: &mut Partition, rng: &mut StdRng) -> Option<qsc_core::SplitEv
     p.split_color(c, |v| v >= pivot && v != members[0])
 }
 
-/// All six (storage, threads) engine variants over one graph + partition.
-/// Threads-4 engines get their parallel thresholds forced down so every
-/// sharded path (apply, entry rescans, axis rebuilds) actually runs.
+/// All three storage-mode engine variants over one graph + partition.
 fn engine_variants(g: &Graph, p: &Partition) -> Vec<(String, IncrementalDegrees)> {
-    let mut out = Vec::new();
-    for mode in [StorageMode::Dense, StorageMode::Sparse, StorageMode::Auto] {
-        for threads in [1usize, 4] {
-            let mut e = IncrementalDegrees::new_with_storage(g, p, threads, mode, p.num_colors());
-            if threads > 1 {
-                e.set_parallel_thresholds(1, 1);
-            }
-            out.push((format!("{mode:?}/t{threads}"), e));
-        }
-    }
-    out
+    [StorageMode::Dense, StorageMode::Sparse, StorageMode::Auto]
+        .into_iter()
+        .map(|mode| {
+            let e = IncrementalDegrees::new_with_storage(g, p, mode, p.num_colors());
+            (format!("{mode:?}"), e)
+        })
+        .collect()
 }
 
 #[test]
@@ -197,71 +191,67 @@ fn engine_storage_modes_bit_identical_under_mixed_churn() {
 #[test]
 fn maintained_runs_agree_across_storage_modes() {
     // Full-stack equivalence: RothkoRun (splits + coarsening merges +
-    // node/edge churn + maintenance) replayed once per storage mode ×
-    // thread count. Colorings, split sequences, error bits and the reduced
-    // emission must agree with the Dense/threads-1 reference at every
-    // round.
+    // node/edge churn + maintenance) replayed once per storage mode.
+    // Colorings, split sequences, error bits and the reduced emission must
+    // agree with the Dense reference at every round.
     for (directed, seed) in [(false, 13u64), (true, 43)] {
         // (label, per-round assignments, per-round error bits, per-round q).
         type Trace = (String, Vec<Vec<u32>>, Vec<u64>, Vec<f64>);
         let mut traces: Vec<Trace> = Vec::new();
         for mode in [StorageMode::Dense, StorageMode::Sparse, StorageMode::Auto] {
-            for threads in [1usize, 4] {
-                let g = random_graph(110, 480, directed, seed);
-                let config = RothkoConfig {
-                    max_colors: 55,
-                    target_error: 3.0,
-                    threads: Some(threads),
-                    coarsen: true,
-                    storage: mode,
-                    ..Default::default()
-                };
-                let mut run = Rothko::new(config).start(&g);
-                run.maintain();
-                let mut delta = GraphDelta::new(g.clone());
-                let mut edges: Vec<(u32, u32)> = delta
-                    .base()
-                    .edges()
-                    .iter()
-                    .map(|&(u, v, _)| (u, v))
-                    .collect();
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xfade);
-                let mut node_rng = StdRng::seed_from_u64(seed ^ 0x0DE5);
-                let mut assignments = Vec::new();
-                let mut error_bits = Vec::new();
-                for round in 0..4 {
-                    if round % 2 == 0 {
-                        let events = churn_batch(&mut delta, &mut edges, &mut rng, 16);
-                        let compacted = delta.compact();
-                        run.apply_edge_batch(compacted, &events);
-                    } else {
-                        let (batch, compacted) = qsc_bench::random_node_churn(
-                            &mut delta,
-                            run.partition(),
-                            &mut node_rng,
-                            4,
-                            3,
-                            3,
-                            |rng| (rng.random_range(1u32..9) as f64) * 0.5,
-                        );
-                        edges = delta
-                            .base()
-                            .edges()
-                            .iter()
-                            .map(|&(u, v, _)| (u, v))
-                            .collect();
-                        run.apply_node_batch(compacted, &batch);
-                    }
-                    run.maintain();
-                    assignments.push(run.partition().canonical_assignment());
-                    error_bits.push(run.exact_max_error().to_bits());
+            let g = random_graph(110, 480, directed, seed);
+            let config = RothkoConfig {
+                max_colors: 55,
+                target_error: 3.0,
+                coarsen: true,
+                storage: mode,
+                ..Default::default()
+            };
+            let mut run = Rothko::new(config).start(&g);
+            run.maintain();
+            let mut delta = GraphDelta::new(g.clone());
+            let mut edges: Vec<(u32, u32)> = delta
+                .base()
+                .edges()
+                .iter()
+                .map(|&(u, v, _)| (u, v))
+                .collect();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xfade);
+            let mut node_rng = StdRng::seed_from_u64(seed ^ 0x0DE5);
+            let mut assignments = Vec::new();
+            let mut error_bits = Vec::new();
+            for round in 0..4 {
+                if round % 2 == 0 {
+                    let events = churn_batch(&mut delta, &mut edges, &mut rng, 16);
+                    let compacted = delta.compact();
+                    run.apply_edge_batch(compacted, &events);
+                } else {
+                    let (batch, compacted) = qsc_bench::random_node_churn(
+                        &mut delta,
+                        run.partition(),
+                        &mut node_rng,
+                        4,
+                        3,
+                        3,
+                        |rng| (rng.random_range(1u32..9) as f64) * 0.5,
+                    );
+                    edges = delta
+                        .base()
+                        .edges()
+                        .iter()
+                        .map(|&(u, v, _)| (u, v))
+                        .collect();
+                    run.apply_node_batch(compacted, &batch);
                 }
-                // Reduced emission from the final coloring: equal colorings
-                // force equal quotient matrices, which we also pin directly.
-                let compacted = delta.compact();
-                let q = quotient_matrix(&compacted, run.partition());
-                traces.push((format!("{mode:?}/t{threads}"), assignments, error_bits, q));
+                run.maintain();
+                assignments.push(run.partition().canonical_assignment());
+                error_bits.push(run.exact_max_error().to_bits());
             }
+            // Reduced emission from the final coloring: equal colorings
+            // force equal quotient matrices, which we also pin directly.
+            let compacted = delta.compact();
+            let q = quotient_matrix(&compacted, run.partition());
+            traces.push((format!("{mode:?}"), assignments, error_bits, q));
         }
         let (ref_name, ref_assignments, ref_bits, ref_q) = traces[0].clone();
         for (name, assignments, bits, q) in traces.iter().skip(1) {
@@ -288,8 +278,8 @@ fn sparse_engine_capacity_growth_matches_dense() {
     // partition and compare every observable at each step.
     let g = random_graph(48, 200, false, 77);
     let mut p = Partition::unit(48);
-    let mut dense = IncrementalDegrees::new_with_storage(&g, &p, 1, StorageMode::Dense, 1);
-    let mut sparse = IncrementalDegrees::new_with_storage(&g, &p, 1, StorageMode::Sparse, 1);
+    let mut dense = IncrementalDegrees::new_with_storage(&g, &p, StorageMode::Dense, 1);
+    let mut sparse = IncrementalDegrees::new_with_storage(&g, &p, StorageMode::Sparse, 1);
     let mut rng = StdRng::seed_from_u64(0xD1CE);
     while let Some(ev) = random_split(&mut p, &mut rng) {
         dense.apply_split(&g, &p, &ev);
@@ -302,4 +292,57 @@ fn sparse_engine_capacity_growth_matches_dense() {
     assert_eq!(p.num_colors(), 48);
     assert_eq!(dense.verify_against(&g, &p), Ok(()));
     assert_eq!(sparse.verify_against(&g, &p), Ok(()));
+}
+
+#[test]
+fn large_split_on_non_dyadic_weights_matches_across_modes() {
+    // A split moving more than 2,048 nodes takes the chunked touched
+    // accumulation, whose per-chunk partial sums fix the f64 association
+    // of each neighbor's weight delta. With weights that are not exact
+    // binary fractions that association shows in the bits, so Dense and
+    // Sparse engines agree bit for bit only because they share it.
+    for (directed, seed) in [(false, 3u64), (true, 59)] {
+        let n = 5000;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = if directed {
+            GraphBuilder::new_directed(n)
+        } else {
+            GraphBuilder::new_undirected(n)
+        };
+        for _ in 0..6 * n {
+            let u = rng.random_range(0..n) as u32;
+            let v = rng.random_range(0..n) as u32;
+            if u != v {
+                b.add_edge(u, v, rng.random_range(1u32..30) as f64 * 0.1);
+            }
+        }
+        let g = b.build();
+        let mut p = Partition::unit(n);
+        let mut dense = IncrementalDegrees::new_with_storage(&g, &p, StorageMode::Dense, 8);
+        let mut sparse = IncrementalDegrees::new_with_storage(&g, &p, StorageMode::Sparse, 8);
+        let half = (n / 2) as u32;
+        let first = p.split_color(0, |v| v >= half).unwrap();
+        assert!(
+            first.moved_nodes.len() >= 2048,
+            "split must take the chunked path"
+        );
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xC4C4);
+        let mut split = Some(first);
+        let mut applied = 0;
+        while let Some(ev) = split.take() {
+            dense.apply_split(&g, &p, &ev);
+            sparse.apply_split(&g, &p, &ev);
+            dense.refresh(&p, 1.0);
+            sparse.refresh(&p, 1.0);
+            assert_eq!(dense.max_error().to_bits(), sparse.max_error().to_bits());
+            assert_eq!(dense.pick_witness(&p, 1.0), sparse.pick_witness(&p, 1.0));
+            assert_eq!(dense.q_report(), sparse.q_report());
+            applied += 1;
+            if applied < 4 {
+                split = random_split(&mut p, &mut rng);
+            }
+        }
+        assert_eq!(dense.verify_against(&g, &p), Ok(()));
+        assert_eq!(sparse.verify_against(&g, &p), Ok(()));
+    }
 }
