@@ -2934,7 +2934,8 @@ impl IncrementalDegrees {
 
     /// Compact the node axis after removals. The removed nodes must be
     /// isolated (their incident edges deleted by a preceding
-    /// [`Self::apply_edge_batch`] — their accumulator rows are all-zero);
+    /// [`Self::apply_edge_batch`] — their accumulator rows are zero up to
+    /// rounding residue, which the repair rescans);
     /// `p` is the partition *after* the removal and renumbering
     /// ([`Partition::apply_node_remap`]), `remap` the mapping the graph
     /// compaction produced, and `removed_colors` the colors the removed
@@ -2958,43 +2959,36 @@ impl IncrementalDegrees {
         let n_old = self.n;
         let n_new = remap.new_len();
         let cap = self.cap;
-        if self.sparse_accum {
-            #[cfg(debug_assertions)]
-            for v in 0..n_old as NodeId {
-                if remap.is_removed(v) {
-                    debug_assert!(
-                        self.sparse_out[v as usize].is_all_zero(),
-                        "removed node {v} still has out-weight"
-                    );
-                    if !self.symmetric {
-                        debug_assert!(
-                            self.sparse_in[v as usize].is_all_zero(),
-                            "removed node {v} still has in-weight"
-                        );
-                    }
+        let k = self.k;
+        // The removed nodes' rows are zero only up to rounding: their
+        // edges were deleted one event at a time, and on inexact weights
+        // `(a + b) - a - b` can leave a residue. Record the columns that
+        // kept one, per direction, so the summary repair below rescans
+        // them instead of assuming the departed value was zero.
+        let mut out_residue = vec![false; k];
+        let mut in_residue = vec![false; k];
+        let close_to_zero = |w: f64| w.abs() <= 1e-9 * (1.0 + w.abs());
+        for v in 0..n_old as NodeId {
+            if !remap.is_removed(v) {
+                continue;
+            }
+            for j in 0..k {
+                let w = self.out_degree_of(v, j as u32);
+                debug_assert!(close_to_zero(w), "removed node {v} still has out-weight");
+                out_residue[j] |= w != 0.0;
+                if !self.symmetric {
+                    let w = self.in_degree_of(v, j as u32);
+                    debug_assert!(close_to_zero(w), "removed node {v} still has in-weight");
+                    in_residue[j] |= w != 0.0;
                 }
             }
+        }
+        if self.sparse_accum {
             compact_sparse_rows(&mut self.sparse_out, remap);
             if !self.symmetric {
                 compact_sparse_rows(&mut self.sparse_in, remap);
             }
         } else {
-            #[cfg(debug_assertions)]
-            for v in 0..n_old as NodeId {
-                if remap.is_removed(v) {
-                    let base = v as usize * cap;
-                    debug_assert!(
-                        self.dout[base..base + self.k].iter().all(|&w| w == 0.0),
-                        "removed node {v} still has out-weight"
-                    );
-                    if !self.symmetric {
-                        debug_assert!(
-                            self.din[base..base + self.k].iter().all(|&w| w == 0.0),
-                            "removed node {v} still has in-weight"
-                        );
-                    }
-                }
-            }
             compact_rows(&mut self.dout, n_old, cap, remap);
             if !self.symmetric {
                 compact_rows(&mut self.din, n_old, cap, remap);
@@ -3015,7 +3009,6 @@ impl IncrementalDegrees {
         // Remap the extremum witnesses (attainers of unaffected colors are
         // survivors; attainers inside affected colors are rebuilt below,
         // so a defensive NO_ARG for a removed id is fine either way).
-        let k = self.k;
         for args in [
             &mut self.out_min_arg,
             &mut self.out_max_arg,
@@ -3035,9 +3028,9 @@ impl IncrementalDegrees {
             }
         }
         // Only the colors that lost members can see entry values change,
-        // and only in one way: the removed rows were all-zero, so an entry
-        // is stale iff a zero extremum just lost its last zero member
-        // (`nz == new size`). Everything else keeps its value — negative
+        // and only in one way: the removed rows were zero outside the
+        // residue columns (rescanned outright), so an entry is stale iff a
+        // zero extremum just lost its last zero member (`nz == new size`). Everything else keeps its value — negative
         // minima / positive maxima are attained by survivors, and a zero
         // extremum with another zero member stands (its attainer was
         // remapped to `NO_ARG` above if it was removed). `O(k)` exact
@@ -3055,15 +3048,17 @@ impl IncrementalDegrees {
             let size = p.size(c);
             for j in 0..k {
                 let idx = ci * cap + j;
-                if (self.out_nz[idx] as usize) == size
-                    && (self.out_min[idx] == 0.0 || self.out_max[idx] == 0.0)
+                if out_residue[j]
+                    || (self.out_nz[idx] as usize) == size
+                        && (self.out_min[idx] == 0.0 || self.out_max[idx] == 0.0)
                 {
                     out_rescans.push((c, j as u32));
                 }
                 if !self.symmetric {
                     let idx = j * cap + ci;
-                    if (self.in_nz[idx] as usize) == size
-                        && (self.in_min[idx] == 0.0 || self.in_max[idx] == 0.0)
+                    if in_residue[j]
+                        || (self.in_nz[idx] as usize) == size
+                            && (self.in_min[idx] == 0.0 || self.in_max[idx] == 0.0)
                     {
                         in_rescans.push((j as u32, c));
                     }
