@@ -135,14 +135,34 @@
 //! fresh-from-checkpoint runs pick identical witnesses *and* identical
 //! merge pairs.
 //!
-//! Two structural specializations keep the engine lean:
+//! # Sides
+//!
+//! The two error directions are the same computation over transposed data,
+//! so the engine stores each direction as one `Side` value and writes every
+//! maintenance step once, over a side:
+//!
+//! * its accumulator (invariant 1: `dout` on the out side, `din` on the in
+//!   side) — an `Accum`, see "Storage tiers" below;
+//! * its five summary planes (`min`, `max`, their attainers and the
+//!   nonzero counts), `cap × cap` arrays in the `i * cap + j` layout of
+//!   [`DegreeMatrices`], addressed by `(member, other)` color: `member` is
+//!   the color whose members the entry ranges over. Out-entry `(i, j)` is
+//!   `(member, other) = (i, j)` and in-entry `(i, j)` is `(j, i)`, so the
+//!   out planes are member-major and the in planes other-major — one
+//!   stride pair per side;
+//! * the arcs along which a moved node changes other nodes' rows (in-arcs
+//!   for the out side), and its per-event scratch.
+//!
+//! A split, merge, edge batch or node event runs its side step once per
+//! stored side. Two structural specializations keep the engine lean:
 //!
 //! * **Symmetric graphs.** For undirected graphs the in-direction state is
 //!   an exact mirror of the out-direction (`din[v] == dout[v]`,
 //!   `in_min/max[i][j] == out_min/max[j][i]`, bit-for-bit, because the CSR
 //!   stores both adjacency directions in ascending neighbor order), so the
-//!   engine skips it entirely — half the memory and per-split work with
-//!   identical results.
+//!   engine stores only the out side — half the memory and per-split work
+//!   with identical results. Read through `(member, other)`, the out side
+//!   *is* the in side then, so one accessor serves the mirrored reads.
 //! * **Degrees-only mode** ([`IncrementalDegrees::new_degrees_only`]).
 //!   Signature-based refiners (the stable coloring) read accumulator
 //!   values and never ask for pair errors; this mode maintains only
@@ -154,23 +174,28 @@
 //!
 //! # Storage tiers
 //!
-//! The summary-tracking engine's invariant-1 accumulators themselves come
-//! in two layouts, selected per engine by `RothkoConfig::storage`
-//! ([`crate::storage::StorageMode`]) and resolved once at construction:
+//! A summary-tracking engine's accumulators come in two layouts, selected
+//! per engine by `RothkoConfig::storage` ([`crate::storage::StorageMode`])
+//! and resolved once at construction into each side's `Accum`:
 //!
-//! * **Dense** — the historical `n × cap` matrices (`dout`/`din`), 8
-//!   bytes per (node, color) slot. Unbeatable per probe when the matrix
-//!   is cache-resident: a member scan is one strided load per row.
-//! * **Sparse** — per-node tiered rows ([`crate::storage::RowRep`]):
-//!   sorted nonzero `(color, weight)` vectors at 16 bytes per *nonzero*
-//!   entry, with rows that reach half the color capacity promoted to
-//!   plain slot arrays (hot rows keep dense probe cost). All apply paths
-//!   (split/merge/node-churn/edge-batch), the member scans, emission
-//!   reads and `q_report()` go through [`crate::kernels`]' sparse gather
-//!   variants, which preserve the member-order/first-attainer fold
-//!   contract — so both layouts produce bit-identical colorings, witnesses
-//!   and error bits (`tests/tests/storage_modes.rs` pins this over mixed
-//!   traces).
+//! * **Dense** — an `n × cap` plane, 8 bytes per (node, color) slot.
+//!   Unbeatable per probe when the plane is cache-resident: a member scan
+//!   is one strided load per row.
+//! * **Rows** — per-node tiered rows ([`crate::storage::RowRep`]): sorted
+//!   nonzero `(color, weight)` vectors at 16 bytes per *nonzero* entry,
+//!   with rows that reach half the color capacity promoted to plain slot
+//!   arrays (hot rows keep dense probe cost). Degrees-only engines always
+//!   use rows and never promote.
+//!
+//! `Accum` is the only place that tells the two apart. Its operations —
+//! get, add, the split shift, the merge fold and relabel, the one- and
+//! several-column member scans, the member-row fold, regrowth and node
+//! compaction — perform the same arithmetic in both layouts and match the
+//! layout once per loop, never per element. The scans go through
+//! [`crate::kernels`]' dense and sparse gather variants, which share the
+//! member-order/first-attainer fold contract, so both layouts produce
+//! bit-identical colorings, witnesses and error bits
+//! (`tests/tests/storage_modes.rs` pins this over mixed traces).
 //!
 //! Measured on the `bench_memory` BA ladder (m = 10, k = 200, engine
 //! resident bytes, avg row ≈ 20 nonzeros ≈ 330 B/node sparse vs 2 KiB
@@ -757,25 +782,48 @@ struct RowBest {
     error: f64,
 }
 
-/// Per-color scratch record used while applying a split (one per color that
-/// contains a neighbor of a moved node).
+/// The running patch of one pair-summary entry whose member values a batch
+/// changes: its extrema at batch start (for detecting a lost extremum), the
+/// rescans its changes call for, and its net zero-crossing count. Filled by
+/// [`Summaries::patch`], closed by [`Summaries::settle`]; shared by the
+/// split/merge color batches and the edge-batch entry records.
 #[derive(Clone, Copy, Debug)]
-struct TouchedColor {
-    color: u32,
-    /// Entry extrema at batch start (for detecting a lost extremum).
+struct EntryPatch {
     orig_min: f64,
     orig_max: f64,
     /// Whether the entry's tracked min/max attainer moved inward (or an
     /// attainer is unknown and a touched node left the batch-start
-    /// extremum). The finalize step downgrades a flagged side to "no
-    /// rescan" when the zero-count rule proves the extremum stands.
+    /// extremum). Settling downgrades a flagged side to "no rescan" when
+    /// the zero-count rule proves the extremum stands.
     rescan_min: bool,
     rescan_max: bool,
-    /// Distinct touched members of this color.
-    count: usize,
     /// Net change to the entry's nonzero-member count (values crossing
     /// zero).
     nz_delta: i64,
+}
+
+impl EntryPatch {
+    fn fresh(orig_min: f64, orig_max: f64) -> Self {
+        EntryPatch {
+            orig_min,
+            orig_max,
+            rescan_min: false,
+            rescan_max: false,
+            nz_delta: 0,
+        }
+    }
+}
+
+/// Per-color scratch record used while applying one side of a split or
+/// merge (one per color that contains a touched node): the patch of the
+/// color's entry against the batch column, plus the touched members'
+/// values in a split's child column.
+#[derive(Clone, Copy, Debug)]
+struct TouchedColor {
+    color: u32,
+    patch: EntryPatch,
+    /// Distinct touched members of this color.
+    count: usize,
     /// Touched members with a non-zero child-column value.
     child_nonzero: u32,
     /// Min/max of the touched members' accumulator values in the child
@@ -790,12 +838,8 @@ impl TouchedColor {
     fn fresh(color: u32, orig_min: f64, orig_max: f64) -> Self {
         TouchedColor {
             color,
-            orig_min,
-            orig_max,
-            rescan_min: false,
-            rescan_max: false,
+            patch: EntryPatch::fresh(orig_min, orig_max),
             count: 0,
-            nz_delta: 0,
             child_nonzero: 0,
             child_min: f64::INFINITY,
             child_max: f64::NEG_INFINITY,
@@ -805,19 +849,790 @@ impl TouchedColor {
     }
 }
 
+/// The per-color records of one side of a split or merge. Every record
+/// patches entry `(color, other)`, where `other` is the split's parent or
+/// the merge's winner.
+#[derive(Clone, Debug, Default)]
+struct ColorBatch {
+    other: usize,
+    /// Color → index into `records`. Lookups self-validate (a stored index
+    /// is live only if the record there names the same color), so clearing
+    /// `records` is all the reset a new batch needs.
+    slot: Vec<u32>,
+    records: Vec<TouchedColor>,
+}
+
+impl ColorBatch {
+    fn begin(&mut self, other: usize) {
+        self.other = other;
+        self.records.clear();
+    }
+
+    /// Fold touched member `u` of `color` — its accumulator moved from
+    /// `old` to `new` in the batch column and reads `child_val` in a
+    /// split's child column — into the color's record and its entry.
+    fn record(
+        &mut self,
+        sums: &mut Summaries,
+        color: u32,
+        u: NodeId,
+        old: f64,
+        new: f64,
+        child_val: f64,
+    ) {
+        let idx = sums.idx(color as usize, self.other);
+        let slot = self.slot[color as usize] as usize;
+        let slot = if slot < self.records.len() && self.records[slot].color == color {
+            slot
+        } else {
+            let fresh = self.records.len();
+            self.slot[color as usize] = fresh as u32;
+            self.records
+                .push(TouchedColor::fresh(color, sums.min[idx], sums.max[idx]));
+            fresh
+        };
+        let rec = &mut self.records[slot];
+        rec.count += 1;
+        if child_val != 0.0 {
+            rec.child_nonzero += 1;
+        }
+        if child_val < rec.child_min {
+            rec.child_min = child_val;
+            rec.child_min_arg = u;
+        }
+        if child_val > rec.child_max {
+            rec.child_max = child_val;
+            rec.child_max_arg = u;
+        }
+        sums.patch(idx, &mut rec.patch, u, old, new);
+    }
+}
+
 /// Per-entry scratch record of an edge batch: one per pair-summary entry
-/// whose member values changed, tracking the batch-start extrema (for
-/// lost-extremum detection), the queued rescan flags, and the net
-/// zero-crossing count — the edge-path analogue of [`TouchedColor`].
+/// whose member values changed — the edge-path analogue of
+/// [`TouchedColor`].
 #[derive(Clone, Copy, Debug)]
 struct EdgeEntryPatch {
-    row: u32,
-    col: u32,
-    orig_min: f64,
-    orig_max: f64,
-    rescan_min: bool,
-    rescan_max: bool,
-    nz_delta: i64,
+    member: u32,
+    other: u32,
+    patch: EntryPatch,
+}
+
+/// Per-column aggregates of one member fold: min/max with their first
+/// attainers and the nonzero count, `cap` slots each — the reusable output
+/// of [`Accum::fold_members`] and [`Accum::scan_columns`].
+#[derive(Clone, Debug, Default)]
+struct FoldScratch {
+    min: Vec<f64>,
+    max: Vec<f64>,
+    min_arg: Vec<u32>,
+    max_arg: Vec<u32>,
+    nz: Vec<u32>,
+}
+
+impl FoldScratch {
+    fn resize(&mut self, len: usize) {
+        self.min.resize(len, 0.0);
+        self.max.resize(len, 0.0);
+        self.min_arg.resize(len, NO_ARG);
+        self.max_arg.resize(len, NO_ARG);
+        self.nz.resize(len, 0);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.min.capacity() + self.max.capacity()) * 8
+            + (self.min_arg.capacity() + self.max_arg.capacity() + self.nz.capacity()) * 4
+    }
+}
+
+/// Reads a node's arcs in one direction: [`Graph::out_arcs`] or
+/// [`Graph::in_arcs`].
+type Arcs = for<'g> fn(&'g Graph, NodeId) -> (&'g [NodeId], &'g [f64]);
+
+/// How far ahead the hot loops prefetch the rows they will touch. The
+/// distance covers the latency of one row's patch work; hints never change
+/// results.
+const PREFETCH_AHEAD: usize = 16;
+
+/// One side's accumulator (invariant 1): per node, its weight towards
+/// (out side) or from (in side) each color. The storage tier is resolved
+/// once at construction; every operation performs the same arithmetic in
+/// both tiers, so all maintained values are bit-identical between them.
+/// Loops over many nodes match the tier once, outside the loop.
+#[derive(Clone, Debug)]
+enum Accum {
+    /// Dense rows: `vals[v * stride + j]`, where `stride` is the engine's
+    /// color capacity.
+    Dense { vals: Vec<f64>, stride: usize },
+    /// Tiered rows ([`RowRep`]): sorted nonzero `(color, weight)` pairs,
+    /// promoted to a dense slot array once hot.
+    Rows(Vec<RowRep>),
+}
+
+impl Accum {
+    fn is_rows(&self) -> bool {
+        matches!(self, Accum::Rows(_))
+    }
+
+    #[inline]
+    fn get(&self, v: NodeId, col: u32) -> f64 {
+        match self {
+            Accum::Dense { vals, stride } => vals[v as usize * stride + col as usize],
+            Accum::Rows(rows) => rows[v as usize].get(col),
+        }
+    }
+
+    /// Add `delta` to `v`'s value in column `col`, returning `(old, new)`.
+    /// `promote_k` is the tiered rows' promotion hint (see
+    /// [`RowRep::add`]).
+    #[inline]
+    fn add(&mut self, v: NodeId, col: u32, delta: f64, promote_k: usize) -> (f64, f64) {
+        match self {
+            Accum::Dense { vals, stride } => {
+                let slot = &mut vals[v as usize * *stride + col as usize];
+                let old = *slot;
+                let new = old + delta;
+                *slot = new;
+                (old, new)
+            }
+            Accum::Rows(rows) => rows[v as usize].add(col, delta, promote_k),
+        }
+    }
+
+    /// The split shift: move `deltas[i]` of `touched[i]`'s weight from
+    /// column `from` to the fresh column `to`, handing `f` the position,
+    /// the node, its `from` value before and after, and its `to` value.
+    /// The touched rows land all over a multi-megabyte accumulator in an
+    /// order the hardware prefetcher cannot predict, so the loop prefetches
+    /// its own future rows.
+    fn split_shift_each(
+        &mut self,
+        touched: &[NodeId],
+        deltas: &[f64],
+        (from, to): (u32, u32),
+        promote_k: usize,
+        mut f: impl FnMut(usize, NodeId, f64, f64, f64),
+    ) {
+        match self {
+            Accum::Dense { vals, stride } => {
+                let (from, to) = (from as usize, to as usize);
+                for (pos, (&u, &d)) in touched.iter().zip(deltas).enumerate() {
+                    if let Some(&w) = touched.get(pos + PREFETCH_AHEAD) {
+                        let wbase = w as usize * *stride;
+                        kernels::prefetch_read(vals, wbase + from);
+                        kernels::prefetch_read(vals, wbase + to);
+                    }
+                    let base = u as usize * *stride;
+                    let old = vals[base + from];
+                    let new = old - d;
+                    vals[base + from] = new;
+                    vals[base + to] += d;
+                    f(pos, u, old, new, vals[base + to]);
+                }
+            }
+            Accum::Rows(rows) => {
+                for (pos, (&u, &d)) in touched.iter().zip(deltas).enumerate() {
+                    // Same two-stage pipeline as the sparse gather kernels:
+                    // the row struct well ahead, its heap payload closer in.
+                    if let Some(&w) = touched.get(pos + PREFETCH_AHEAD) {
+                        kernels::prefetch_read(rows.as_slice(), w as usize);
+                    }
+                    if let Some(&w) = touched.get(pos + PREFETCH_AHEAD / 2) {
+                        kernels::prefetch_row_payload(&rows[w as usize], from);
+                    }
+                    let (old, new, to_val) = rows[u as usize].split_shift(from, to, d, promote_k);
+                    f(pos, u, old, new, to_val);
+                }
+            }
+        }
+    }
+
+    /// The merge fold: move each touched node's weight in column `from`
+    /// into column `to`, recording `(node, old, new)` of the `to` column in
+    /// `capture` for the nodes that held any.
+    fn fold_column(
+        &mut self,
+        touched: &[NodeId],
+        (from, to): (u32, u32),
+        promote_k: usize,
+        capture: &mut Vec<(NodeId, f64, f64)>,
+    ) {
+        capture.clear();
+        match self {
+            Accum::Dense { vals, stride } => {
+                let (from, to) = (from as usize, to as usize);
+                for &u in touched {
+                    let base = u as usize * *stride;
+                    let lost = vals[base + from];
+                    if lost == 0.0 {
+                        continue;
+                    }
+                    let old = vals[base + to];
+                    let new = old + lost;
+                    vals[base + to] = new;
+                    vals[base + from] = 0.0;
+                    capture.push((u, old, new));
+                }
+            }
+            Accum::Rows(rows) => {
+                for &u in touched {
+                    let row = &mut rows[u as usize];
+                    let lost = row.get(from);
+                    if lost == 0.0 {
+                        continue;
+                    }
+                    row.add(from, -lost, promote_k);
+                    let (old, new) = row.add(to, lost, promote_k);
+                    capture.push((u, old, new));
+                }
+            }
+        }
+    }
+
+    /// The relabel: move each touched node's column `from` to column `to`,
+    /// which the caller guarantees holds no weight.
+    fn relabel_column(&mut self, touched: &[NodeId], from: u32, to: u32) {
+        match self {
+            Accum::Dense { vals, stride } => {
+                for &u in touched {
+                    let base = u as usize * *stride;
+                    vals[base + to as usize] = vals[base + from as usize];
+                    vals[base + from as usize] = 0.0;
+                }
+            }
+            Accum::Rows(rows) => {
+                for &u in touched {
+                    rows[u as usize].relabel(from, to);
+                }
+            }
+        }
+    }
+
+    /// Min/max (first attainers in member order) and nonzero count of
+    /// column `col` over `members` — the one-entry rescan. Both tiers fold
+    /// every member in order with the same strict compares (an absent
+    /// tiered entry reads the same `+0.0` a dense row stores), so values
+    /// *and* attainers agree between them.
+    fn scan_column(&self, members: &[NodeId], col: u32) -> (f64, f64, u32, u32, u32) {
+        match self {
+            Accum::Dense { vals, stride } => {
+                kernels::scan_gather_column(members, vals, *stride, col as usize)
+            }
+            Accum::Rows(rows) => kernels::scan_gather_column_sparse(members, rows, col),
+        }
+    }
+
+    /// [`Self::scan_column`] for several columns in one member pass: slot
+    /// `s` of `out` receives column `cols[s]`. Each accumulator row is
+    /// loaded once for every queued column; per column this is the same
+    /// member-order fold, bit for bit.
+    fn scan_columns(&self, members: &[NodeId], cols: &[u32], out: &mut FoldScratch) {
+        let FoldScratch {
+            min,
+            max,
+            min_arg,
+            max_arg,
+            nz,
+        } = out;
+        match self {
+            Accum::Dense { vals, stride } => kernels::scan_gather_columns(
+                members, vals, *stride, cols, min, max, min_arg, max_arg, nz,
+            ),
+            Accum::Rows(rows) => kernels::scan_gather_columns_sparse(
+                members, rows, cols, min, max, min_arg, max_arg, nz,
+            ),
+        }
+    }
+
+    /// Fold the rows of `members` over the columns `0..k` into `out`: one
+    /// member loop through the vectorized row kernel, exactly the scalar
+    /// member-order scan, bit for bit (see `kernels::fold_minmax_row`).
+    /// Tiered rows fold only their stored (nonzero) entries and account for
+    /// the implicit zeros afterwards with one `fold_zero_tail` pass: any
+    /// column some member misses folds a 0.0 with the `NO_ARG` witness. The
+    /// min/max *values* equal the dense fold's exactly; only zero-extremum
+    /// attainers differ (NO_ARG instead of the first zero-valued member),
+    /// which is unobservable — attainers gate rescans, never values, and
+    /// NO_ARG forces the conservative rescan.
+    fn fold_members(&self, members: &[NodeId], k: usize, out: &mut FoldScratch) {
+        let FoldScratch {
+            min,
+            max,
+            min_arg,
+            max_arg,
+            nz,
+        } = out;
+        min[..k].fill(f64::INFINITY);
+        max[..k].fill(f64::NEG_INFINITY);
+        min_arg[..k].fill(NO_ARG);
+        max_arg[..k].fill(NO_ARG);
+        nz[..k].fill(0);
+        match self {
+            Accum::Dense { vals, stride } => {
+                for &u in members {
+                    let row = &vals[u as usize * *stride..][..k];
+                    kernels::fold_minmax_row(u, row, min, max, min_arg, max_arg, nz);
+                }
+            }
+            Accum::Rows(rows) => {
+                for &u in members {
+                    let row = &rows[u as usize];
+                    kernels::fold_minmax_sparse_row(u, row, k, min, max, min_arg, max_arg, nz);
+                }
+                let count = members.len() as u32;
+                kernels::fold_zero_tail(count, k, min, max, min_arg, max_arg, nz);
+            }
+        }
+    }
+
+    /// `v`'s dense row over the live `k` columns; tiered rows have none.
+    fn dense_row(&self, v: NodeId, k: usize) -> &[f64] {
+        match self {
+            Accum::Dense { vals, stride } => &vals[v as usize * stride..][..k],
+            Accum::Rows(_) => {
+                panic!("sparse-storage engines keep tiered rows; use out_degree_of / in_degree_of")
+            }
+        }
+    }
+
+    /// Grow dense rows to `new_cap` columns (see [`regrow`]). Tiered rows
+    /// key entries by color and never depend on the capacity.
+    fn regrow(&mut self, n: usize, new_cap: usize) {
+        if let Accum::Dense { vals, stride } = self {
+            regrow(vals, n, n, *stride, new_cap, 0.0);
+            *stride = new_cap;
+        }
+    }
+
+    /// Append all-zero rows for fresh nodes up to `n`.
+    fn grow_nodes(&mut self, n: usize) {
+        match self {
+            Accum::Dense { vals, stride } => vals.resize(n * *stride, 0.0),
+            Accum::Rows(rows) => rows.resize(n, RowRep::new()),
+        }
+    }
+
+    /// The columns in which a removed node's row still holds weight.
+    /// Removed nodes are isolated, so their rows are zero up to the
+    /// rounding residue per-edge deletions leave on inexact weights
+    /// (`(a + b) - a - b`); anything larger means a node that still had
+    /// edges was removed.
+    fn removed_residue(&self, remap: &NodeRemap, k: usize) -> Vec<bool> {
+        let mut residue = vec![false; k];
+        for v in remap.removed_old_ids() {
+            for (j, r) in residue.iter_mut().enumerate() {
+                let w = self.get(v, j as u32);
+                debug_assert!(
+                    w.abs() <= 1e-9 * (1.0 + w.abs()),
+                    "removed node {v} still has weight {w} in column {j}"
+                );
+                *r |= w != 0.0;
+            }
+        }
+        residue
+    }
+
+    /// Drop the removed nodes' rows; survivors keep their order.
+    fn compact(&mut self, remap: &NodeRemap) {
+        match self {
+            Accum::Dense { vals, stride } => compact_rows(vals, remap.old_len(), *stride, remap),
+            Accum::Rows(rows) => compact_sparse_rows(rows, remap),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Accum::Dense { vals, .. } => vals.capacity() * 8,
+            Accum::Rows(rows) => {
+                rows.capacity() * std::mem::size_of::<RowRep>()
+                    + rows.iter().map(RowRep::heap_bytes).sum::<usize>()
+            }
+        }
+    }
+
+    /// The snapshot columns: a tight `n × k` plane for dense rows, the
+    /// columnar row form for tiered ones (the other one empty).
+    fn snapshot(&self, n: usize, k: usize) -> (ColumnBuf<f64>, RowsSnapshot) {
+        match self {
+            Accum::Dense { vals, stride } => {
+                (tight(vals, n, k, *stride).into(), RowsSnapshot::default())
+            }
+            Accum::Rows(rows) => (Vec::new().into(), rows_snapshot(rows)),
+        }
+    }
+}
+
+/// One side's pair summaries (invariants 2 and 4): five `cap × cap` planes
+/// in the `i * cap + j` layout of [`DegreeMatrices`], addressed by
+/// `(member, other)` color through [`Self::idx`]. `member` is the color
+/// whose members the entry ranges over: out-entry `(i, j)` has member `i`
+/// (member-major strides `(cap, 1)`), in-entry `(i, j)` has member `j`
+/// (other-major strides `(1, cap)`). Empty in degrees-only engines.
+#[derive(Clone, Debug, Default)]
+struct Summaries {
+    /// Min/max over the member color's members of their accumulator value
+    /// in the other color's column.
+    min: Vec<f64>,
+    max: Vec<f64>,
+    /// Extremum witnesses: a member attaining `min`/`max`, or [`NO_ARG`]
+    /// when unknown. Patches consult these to decide whether an entry
+    /// actually lost its extremum — an exact `O(1)` test that replaces the
+    /// tie-prone "value equals extremum" heuristic and its rescan storm on
+    /// integer-weighted graphs. Witness choice never affects entry
+    /// *values* (a rescan recomputes the same exact min/max a skipped
+    /// rescan preserves), so results stay bit-identical.
+    min_arg: Vec<u32>,
+    max_arg: Vec<u32>,
+    /// Nonzero-member counts. A `min == 0.0` entry whose count stays below
+    /// the color size provably keeps its minimum when members depart — the
+    /// dominant skip rule on sparse graphs, where almost every pair summary
+    /// has zero-valued members.
+    nz: Vec<u32>,
+    member_stride: usize,
+    other_stride: usize,
+    /// Entries `(member, other)` queued for a member rescan (reused across
+    /// events).
+    rescans: Vec<(u32, u32)>,
+}
+
+impl Summaries {
+    fn new(mat_cap: usize, (member_stride, other_stride): (usize, usize)) -> Self {
+        let cells = mat_cap * mat_cap;
+        Summaries {
+            min: vec![0.0; cells],
+            max: vec![0.0; cells],
+            min_arg: vec![NO_ARG; cells],
+            max_arg: vec![NO_ARG; cells],
+            nz: vec![0; cells],
+            member_stride,
+            other_stride,
+            rescans: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn idx(&self, member: usize, other: usize) -> usize {
+        member * self.member_stride + other * self.other_stride
+    }
+
+    #[inline]
+    fn mm(&self, member: usize, other: usize) -> (f64, f64) {
+        let idx = self.idx(member, other);
+        (self.min[idx], self.max[idx])
+    }
+
+    #[inline]
+    fn error(&self, member: usize, other: usize) -> f64 {
+        let idx = self.idx(member, other);
+        self.max[idx] - self.min[idx]
+    }
+
+    /// Overwrite entry `idx` with a scan result `(min, max, min_arg,
+    /// max_arg, nz)`.
+    #[inline]
+    fn set(&mut self, idx: usize, (mn, mx, amn, amx, nz): (f64, f64, u32, u32, u32)) {
+        self.min[idx] = mn;
+        self.max[idx] = mx;
+        self.min_arg[idx] = amn;
+        self.max_arg[idx] = amx;
+        self.nz[idx] = nz;
+    }
+
+    /// Overwrite entry `idx` with slot `s` of a fold.
+    fn store(&mut self, idx: usize, fold: &FoldScratch, s: usize) {
+        let (mn, mx) = (fold.min[s], fold.max[s]);
+        self.set(idx, (mn, mx, fold.min_arg[s], fold.max_arg[s], fold.nz[s]));
+    }
+
+    /// Reset every entry with `c` on either axis to "no edges".
+    fn reset_color(&mut self, c: usize, k: usize) {
+        for i in 0..k {
+            for idx in [self.idx(i, c), self.idx(c, i)] {
+                self.set(idx, (0.0, 0.0, NO_ARG, NO_ARG, 0));
+            }
+        }
+    }
+
+    /// Fold member `u`'s value change `old → new` into entry `idx`, whose
+    /// batch record is `rec`: flag the extremum the move may have lost,
+    /// count a zero crossing, and extend the entry outward inline with `u`
+    /// as the attainer. The entry loses its extremum only when its
+    /// *tracked attainer* moves strictly inward (an exact test — ties at
+    /// the extremum force no rescan); an unknown attainer falls back to
+    /// the conservative batch-start-extremum heuristic.
+    #[inline]
+    fn patch(&mut self, idx: usize, rec: &mut EntryPatch, u: NodeId, old: f64, new: f64) {
+        if new < old {
+            let arg = self.max_arg[idx];
+            if old == rec.orig_max && (arg == NO_ARG || arg == u) {
+                rec.rescan_max = true;
+            }
+        } else if new > old {
+            let arg = self.min_arg[idx];
+            if old == rec.orig_min && (arg == NO_ARG || arg == u) {
+                rec.rescan_min = true;
+            }
+        }
+        if (old == 0.0) != (new == 0.0) {
+            rec.nz_delta += if new != 0.0 { 1 } else { -1 };
+        }
+        if new < self.min[idx] {
+            self.min[idx] = new;
+            self.min_arg[idx] = u;
+        }
+        if new > self.max[idx] {
+            self.max[idx] = new;
+            self.max_arg[idx] = u;
+        }
+    }
+
+    /// Close one patched entry of a member color of `size` members: apply
+    /// its net zero-crossing count, then queue a rescan if a flagged
+    /// extremum may really be lost. A zero extremum provably stands while
+    /// the entry keeps a zero-valued member; such a flagged side keeps its
+    /// value but no longer knows a specific attainer.
+    fn settle(&mut self, member: usize, other: usize, size: usize, patch: &EntryPatch) {
+        let idx = self.idx(member, other);
+        let nz = (self.nz[idx] as i64 + patch.nz_delta) as u32;
+        self.nz[idx] = nz;
+        let zero_member = (nz as usize) < size;
+        let need = (patch.rescan_min && !(self.min[idx] == 0.0 && zero_member))
+            || (patch.rescan_max && !(self.max[idx] == 0.0 && zero_member));
+        if need {
+            self.rescans.push((member as u32, other as u32));
+        } else {
+            if patch.rescan_min {
+                self.min_arg[idx] = NO_ARG;
+            }
+            if patch.rescan_max {
+                self.max_arg[idx] = NO_ARG;
+            }
+        }
+    }
+
+    /// Move color `from = k - 1`'s row and column into the freed slot `to`
+    /// in every plane (the merge relabel). Values are copied, never
+    /// recomputed, so the relabel is exact.
+    fn relabel(&mut self, cap: usize, k: usize, from: usize, to: usize) {
+        relabel_plane(&mut self.min, cap, k, from, to);
+        relabel_plane(&mut self.max, cap, k, from, to);
+        relabel_plane(&mut self.min_arg, cap, k, from, to);
+        relabel_plane(&mut self.max_arg, cap, k, from, to);
+        relabel_plane(&mut self.nz, cap, k, from, to);
+    }
+
+    /// Regrow every plane to `new_cap × new_cap` (see [`regrow`]).
+    fn regrow(&mut self, old_cap: usize, new_cap: usize) {
+        regrow(&mut self.min, old_cap, new_cap, old_cap, new_cap, 0.0);
+        regrow(&mut self.max, old_cap, new_cap, old_cap, new_cap, 0.0);
+        regrow(
+            &mut self.min_arg,
+            old_cap,
+            new_cap,
+            old_cap,
+            new_cap,
+            NO_ARG,
+        );
+        regrow(
+            &mut self.max_arg,
+            old_cap,
+            new_cap,
+            old_cap,
+            new_cap,
+            NO_ARG,
+        );
+        regrow(&mut self.nz, old_cap, new_cap, old_cap, new_cap, 0);
+        // The unit stride stays; the capacity stride grows.
+        let restride = |s: usize| if s == 1 { 1 } else { new_cap };
+        self.member_stride = restride(self.member_stride);
+        self.other_stride = restride(self.other_stride);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.min.capacity() + self.max.capacity()) * 8
+            + (self.min_arg.capacity() + self.max_arg.capacity() + self.nz.capacity()) * 4
+    }
+}
+
+/// One direction of the engine: the accumulator, the pair summaries and the
+/// per-event scratch of either the out direction (`w(v, P_j)`, entries
+/// `(member, other) = (i, j)`) or the in direction (`w(P_j, v)`, entries
+/// `(member, other) = (j, i)`). Every maintenance step is written once over
+/// a `Side` and runs once per stored side.
+#[derive(Clone, Debug)]
+struct Side {
+    acc: Accum,
+    sums: Summaries,
+    /// The reverse of the arcs a node's row sums: moving a node between
+    /// colors changes the rows of its neighbors along these
+    /// ([`Graph::in_arcs`] on the out side — the sources of edges into
+    /// it).
+    touch_arcs: Arcs,
+    /// Edge-batch scratch: patched-entry records and their entry-index →
+    /// record-slot map, plus the per-(node, column) combined deltas and
+    /// their slot map (capacity reused across batches).
+    edge_patches: Vec<EdgeEntryPatch>,
+    edge_slot: HashMap<usize, usize>,
+    edge_acc: Vec<(NodeId, u32, f64)>,
+    edge_acc_slot: HashMap<(NodeId, u32), usize>,
+    /// Merge-fold captures: `(node, old, new)` winner-column values of the
+    /// touched nodes, recorded before the relabel so entry patches can run
+    /// in the post-relabel id space.
+    merge_capture: Vec<(NodeId, f64, f64)>,
+}
+
+/// The sides an engine stores, as `(own arcs, touch arcs, summary strides)`:
+/// the out side, and on directed graphs the in side.
+fn side_layouts(directed: bool, cap: usize) -> Vec<(Arcs, Arcs, (usize, usize))> {
+    let mut layouts: Vec<(Arcs, Arcs, (usize, usize))> =
+        vec![(Graph::out_arcs, Graph::in_arcs, (cap, 1))];
+    if directed {
+        layouts.push((Graph::in_arcs, Graph::out_arcs, (1, cap)));
+    }
+    layouts
+}
+
+impl Side {
+    fn new(acc: Accum, sums: Summaries, touch_arcs: Arcs) -> Self {
+        Side {
+            acc,
+            sums,
+            touch_arcs,
+            edge_patches: Vec::new(),
+            edge_slot: HashMap::new(),
+            edge_acc: Vec::new(),
+            edge_acc_slot: HashMap::new(),
+            merge_capture: Vec::new(),
+        }
+    }
+
+    /// Recompute every queued entry from its member color's members
+    /// (values, first attainers in member order, nonzero counts), then
+    /// clear the queue. Entries sharing one member axis — the parent-axis
+    /// repair always does — fold in a single member pass.
+    fn flush_rescans(&mut self, p: &Partition, fold: &mut FoldScratch) {
+        let mut entries = std::mem::take(&mut self.sums.rescans);
+        if entries.len() >= 2 && entries.iter().all(|&(m, _)| m == entries[0].0) {
+            let member = entries[0].0;
+            debug_assert!(entries.len() <= fold.min.len());
+            let cols: Vec<u32> = entries.iter().map(|&(_, o)| o).collect();
+            self.acc.scan_columns(p.members(member), &cols, fold);
+            for (s, &(_, o)) in entries.iter().enumerate() {
+                let idx = self.sums.idx(member as usize, o as usize);
+                self.sums.store(idx, fold, s);
+            }
+        } else {
+            for &(m, o) in &entries {
+                let idx = self.sums.idx(m as usize, o as usize);
+                self.sums.set(idx, self.acc.scan_column(p.members(m), o));
+            }
+        }
+        entries.clear();
+        self.sums.rescans = entries;
+    }
+
+    /// Repair the parent's member-axis entries `(c, j)` after a split (the
+    /// child's axis was rebuilt just before). Columns `c`/`child` saw their
+    /// accumulator values change and are always rescanned; for every other
+    /// column the values are untouched and membership only shrank, so the
+    /// old extremum stands unless its tracked attainer departed to the
+    /// child (with unknown attainers falling back to the conservative
+    /// "child attained the parent's extremum" heuristic). Cost: `O(k)`
+    /// exact checks plus `O(|parent|)` per column that actually lost an
+    /// extremum.
+    fn repair_parent_axis(
+        &mut self,
+        p: &Partition,
+        (c, child): (usize, usize),
+        k: usize,
+        fold: &mut FoldScratch,
+    ) {
+        let parent_size = p.size(c as u32);
+        // Whether one side of an entry lost its extremum: a zero extremum
+        // stands while the entry keeps a zero-valued member (count rule,
+        // checked first — the attainer may then be forgotten); otherwise
+        // the tracked attainer must not have departed to the child, with
+        // unknown attainers falling back to the conservative "child
+        // attained it" heuristic. Returns (lost, forget_arg).
+        let side_lost = |value: f64, zero_member: bool, arg: u32, fallback: bool| -> (bool, bool) {
+            if value == 0.0 && zero_member {
+                (false, arg != NO_ARG && p.color_of(arg) != c as u32)
+            } else if arg == NO_ARG {
+                (fallback, false)
+            } else {
+                (p.color_of(arg) != c as u32, false)
+            }
+        };
+        let s = &mut self.sums;
+        for j in 0..k {
+            if j == c || j == child {
+                s.rescans.push((c as u32, j as u32));
+                continue;
+            }
+            // The parent's nonzero count over an unchanged column is the
+            // old count minus what the child took.
+            let idx = s.idx(c, j);
+            let cidx = s.idx(child, j);
+            s.nz[idx] -= s.nz[cidx];
+            let zero_member = (s.nz[idx] as usize) < parent_size;
+            let (min_lost, min_forget) = side_lost(
+                s.min[idx],
+                zero_member,
+                s.min_arg[idx],
+                s.min[cidx] == s.min[idx],
+            );
+            let (max_lost, max_forget) = side_lost(
+                s.max[idx],
+                zero_member,
+                s.max_arg[idx],
+                s.max[cidx] == s.max[idx],
+            );
+            if min_lost || max_lost {
+                s.rescans.push((c as u32, j as u32));
+            } else {
+                if min_forget {
+                    s.min_arg[idx] = NO_ARG;
+                }
+                if max_forget {
+                    s.max_arg[idx] = NO_ARG;
+                }
+            }
+        }
+        self.flush_rescans(p, fold);
+    }
+
+    /// Fold one combined delta of an edge batch into the per-(node,
+    /// column) list (first-touch order, so batch processing is
+    /// deterministic).
+    fn accumulate_edge(&mut self, u: NodeId, col: u32, delta: f64) {
+        match self.edge_acc_slot.entry((u, col)) {
+            std::collections::hash_map::Entry::Occupied(e) => self.edge_acc[*e.get()].2 += delta,
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(self.edge_acc.len());
+                self.edge_acc.push((u, col, delta));
+            }
+        }
+    }
+
+    /// Apply one combined accumulator change of an edge batch — `u`, a
+    /// member of `member`, changes by `delta` in column `other` — and fold
+    /// it into entry `(member, other)`'s patch record.
+    fn patch_edge(&mut self, u: NodeId, (member, other): (u32, u32), delta: f64, promote_k: usize) {
+        let (old, new) = self.acc.add(u, other, delta, promote_k);
+        let idx = self.sums.idx(member as usize, other as usize);
+        let (orig_min, orig_max) = (self.sums.min[idx], self.sums.max[idx]);
+        let patches = &mut self.edge_patches;
+        let slot = *self.edge_slot.entry(idx).or_insert_with(|| {
+            patches.push(EdgeEntryPatch {
+                member,
+                other,
+                patch: EntryPatch::fresh(orig_min, orig_max),
+            });
+            patches.len() - 1
+        });
+        self.sums
+            .patch(idx, &mut self.edge_patches[slot].patch, u, old, new);
+    }
 }
 
 /// The incremental refinement engine: degree matrices plus per-node degree
@@ -844,69 +1659,14 @@ struct EdgeEntryPatch {
 pub struct IncrementalDegrees {
     n: usize,
     k: usize,
-    /// Column capacity (stride) of the accumulators and matrices; grows
-    /// geometrically as colors are added.
+    /// Column capacity (stride) of the dense accumulators and summary
+    /// planes; grows geometrically as colors are added.
     cap: usize,
-    /// `dout[v * cap + j] = w(v, P_j)` (dense rows; dense-storage summary
-    /// mode only — empty when `sparse_accum`).
-    dout: Vec<f64>,
-    /// `din[v * cap + j] = w(P_j, v)` (dense rows; dense-storage summary
-    /// mode only — empty when `sparse_accum`).
-    din: Vec<f64>,
-    /// Tiered accumulator rows ([`RowRep`]) — the storage of the
-    /// degrees-only mode *and* of sparse-storage summary engines: per
-    /// node, sorted non-zero `(color, weight)` pairs, with hot rows
-    /// promoted to a dense slot tier (summary mode only; degrees-only
-    /// rows never promote, preserving their `O(deg(v))` bound).
-    /// `O(deg(v))` per node instead of a dense `k`-column row, which
-    /// keeps near-discrete colorings (`k → n`) and large sparse graphs
-    /// at `O(m)` memory instead of `O(n·k)`.
-    sparse_out: Vec<RowRep>,
-    sparse_in: Vec<RowRep>,
-    /// True when the accumulators live in `sparse_out`/`sparse_in`
-    /// (degrees-only engines and sparse-storage summary engines); false
-    /// when they live in the dense `dout`/`din` matrices. Pure storage —
-    /// every maintained *value* is bit-identical between the two.
-    sparse_accum: bool,
-    /// Whether sparse rows may promote to their dense tier (summary-mode
-    /// sparse engines; degrees-only engines never promote). The hint
-    /// passed to [`RowRep::add`] is the live color count `k` when
-    /// enabled, `0` otherwise — see [`Self::promote_k`].
-    promote: bool,
-    /// `out_min/out_max[i * cap + j]` over `u ∈ P_i` of `dout[u][j]`.
-    out_min: Vec<f64>,
-    out_max: Vec<f64>,
-    /// `in_min/in_max[i * cap + j]` over `v ∈ P_j` of `din[v][i]`.
-    in_min: Vec<f64>,
-    in_max: Vec<f64>,
-    /// Extremum witnesses: `out_min_arg[i * cap + j]` is a member of `P_i`
-    /// attaining `out_min[i * cap + j]` (and so on), or [`NO_ARG`] when the
-    /// attainer is unknown. Splits consult these to decide whether a pair
-    /// summary actually lost its extremum — an exact `O(1)` test that
-    /// replaces the tie-prone "value equals extremum" heuristic and its
-    /// rescan storm on integer-weighted graphs. Witness choice never
-    /// affects entry *values* (a rescan recomputes the same exact min/max a
-    /// skipped rescan preserves), so results stay bit-identical.
-    out_min_arg: Vec<u32>,
-    out_max_arg: Vec<u32>,
-    in_min_arg: Vec<u32>,
-    in_max_arg: Vec<u32>,
-    /// Per-entry nonzero-member counts: `out_nz[i * cap + j]` is the number
-    /// of members of `P_i` with `dout[u][j] != 0.0` (and `in_nz[i * cap +
-    /// j]` the members of `P_j` with `din[v][i] != 0.0`). A `min == 0.0`
-    /// entry whose count stays below the color size provably keeps its
-    /// minimum when members depart — the dominant skip rule on sparse
-    /// graphs, where almost every pair summary has zero-valued members.
-    out_nz: Vec<u32>,
-    in_nz: Vec<u32>,
-    /// Whether the graph is undirected (stored as symmetric arcs). The
-    /// in-direction state is then an exact mirror of the out-direction
-    /// (`din[v] == dout[v]` and `in_min/max[i][j] == out_min/max[j][i]`,
-    /// including floating-point operation order, since the CSR stores both
-    /// adjacency directions in ascending neighbor order), so the engine
-    /// skips it entirely: half the memory, half the per-split work,
-    /// bit-identical results.
-    symmetric: bool,
+    /// The out side, then — on directed graphs only — the in side. On
+    /// undirected graphs (stored as symmetric arcs) the in-direction state
+    /// is an exact mirror of the out-direction, so it is not stored; see
+    /// [`in_side`], the one mirrored read.
+    sides: Vec<Side>,
     /// Whether pair summaries and the witness cache are maintained. The
     /// degrees-only mode (`new_degrees_only`) keeps just the accumulators,
     /// which is all signature-based refiners like the stable coloring need;
@@ -929,7 +1689,7 @@ pub struct IncrementalDegrees {
     row_best: Vec<Option<RowBest>>,
     row_err_dirty: Vec<bool>,
     row_best_dirty: Vec<bool>,
-    /// Node-stamp scratch for deduplicating touched neighbors.
+    /// Node-stamp scratch of the chunked touched collection.
     node_stamp: Vec<u32>,
     node_delta: Vec<f64>,
     stamp_gen: u32,
@@ -944,39 +1704,13 @@ pub struct IncrementalDegrees {
     touched_nodes: Vec<NodeId>,
     /// Accumulated weight delta of `touched_nodes[i]`, index-parallel.
     touched_deltas: Vec<f64>,
-    /// Color-slot scratch for per-touched-color aggregation (self-validating
-    /// indices into `touched_colors`).
-    color_slot: Vec<u32>,
-    touched_colors: Vec<TouchedColor>,
-    /// Row-recompute scratch (4 × cap values + 4 × cap witnesses + 2 × cap
-    /// nonzero counts).
-    row_scratch: Vec<f64>,
-    row_arg_scratch: Vec<u32>,
-    row_nz_scratch: Vec<u32>,
-    /// Reusable per-split scratch lists (queued rescans per direction) —
-    /// kept on the engine so the split path stays allocation-free.
-    entry_scratch_out: Vec<(u32, u32)>,
-    entry_scratch_in: Vec<(u32, u32)>,
-    /// Edge-batch scratch: per-direction patched-entry records and their
-    /// entry-index → record-slot maps, plus the per-(node, column)
-    /// combined-delta lists (capacity reused across batches).
-    edge_patches_out: Vec<EdgeEntryPatch>,
-    edge_patches_in: Vec<EdgeEntryPatch>,
-    edge_slot_out: HashMap<usize, usize>,
-    edge_slot_in: HashMap<usize, usize>,
-    edge_acc_out: Vec<(NodeId, u32, f64)>,
-    edge_acc_in: Vec<(NodeId, u32, f64)>,
-    edge_acc_slot_out: HashMap<(NodeId, u32), usize>,
-    edge_acc_slot_in: HashMap<(NodeId, u32), usize>,
+    /// Per-touched-color records of the split or merge side in progress.
+    batch: ColorBatch,
+    /// Member-fold output of axis rebuilds and grouped rescans.
+    fold: FoldScratch,
     /// Per-chunk `(node, chunk-local delta)` lists of the canonical
     /// chunked touched-collection (capacity reused across splits).
     chunk_out: Vec<Vec<(NodeId, f64)>>,
-    /// Merge-fold capture lists (out and in direction): `(node, old, new)`
-    /// winner-column values of the touched nodes, recorded before the
-    /// relabel so entry patches can run in the post-relabel id space
-    /// (capacity reused across merges).
-    merge_scratch: Vec<(NodeId, f64, f64)>,
-    merge_scratch_in: Vec<(NodeId, f64, f64)>,
 }
 
 /// One direction's tiered accumulator rows in columnar form — the shape
@@ -1089,32 +1823,46 @@ pub struct EngineSnapshot {
 /// on non-dyadic weights.
 const TOUCHED_CHUNK: usize = 2048;
 
-/// A read-only view of the pair-summary matrices, so the witness-refresh
-/// scans can read them while the caller holds the row caches mutably.
+/// A read-only view of both sides' pair summaries, so the witness-refresh
+/// scans can read them while the caller holds the row caches mutably. On
+/// symmetric graphs `inn` is the out side itself: in-entry `(i, j)` is
+/// `(member, other) = (j, i)`, exactly the mirrored out-entry.
 struct SummaryView<'a> {
     k: usize,
-    cap: usize,
     symmetric: bool,
-    out_min: &'a [f64],
-    out_max: &'a [f64],
-    in_min: &'a [f64],
-    in_max: &'a [f64],
+    out: &'a Summaries,
+    inn: &'a Summaries,
+}
+
+/// The in side of an engine's stored `sides`: the in side itself on
+/// directed graphs, the out side on symmetric ones — whose `(member,
+/// other)` entries and accumulator rows are exactly the mirrored
+/// in-direction state. The one mirrored read of the engine.
+#[inline]
+fn in_side(sides: &[Side]) -> &Side {
+    sides.last().expect("an engine stores its out side")
+}
+
+impl<'a> SummaryView<'a> {
+    fn of(sides: &'a [Side], k: usize) -> Self {
+        SummaryView {
+            k,
+            symmetric: sides.len() == 1,
+            out: &sides[0].sums,
+            inn: &in_side(sides).sums,
+        }
+    }
 }
 
 impl PairMinMax for SummaryView<'_> {
     #[inline]
     fn out_mm(&self, i: usize, j: usize) -> (f64, f64) {
-        let idx = i * self.cap + j;
-        (self.out_min[idx], self.out_max[idx])
+        self.out.mm(i, j)
     }
 
     #[inline]
     fn in_mm(&self, i: usize, j: usize) -> (f64, f64) {
-        if self.symmetric {
-            return self.out_mm(j, i);
-        }
-        let idx = i * self.cap + j;
-        (self.in_min[idx], self.in_max[idx])
+        self.inn.mm(j, i)
     }
 }
 
@@ -1146,15 +1894,12 @@ pub fn pick_merge_scratch(m: &DegreeMatrices, max_bound: f64) -> Option<MergeCan
 impl SummaryView<'_> {
     #[inline]
     fn out_error(&self, i: usize, j: usize) -> f64 {
-        self.out_max[i * self.cap + j] - self.out_min[i * self.cap + j]
+        self.out.error(i, j)
     }
 
     #[inline]
     fn in_error(&self, i: usize, j: usize) -> f64 {
-        if self.symmetric {
-            return self.out_error(j, i);
-        }
-        self.in_max[i * self.cap + j] - self.in_min[i * self.cap + j]
+        self.inn.error(j, i)
     }
 
     /// One witness row scan: the row's maximum unweighted error and its
@@ -1169,10 +1914,11 @@ impl SummaryView<'_> {
         // vectorized kernel. Same value, same attainer, same tie-breaks as
         // the general loop below (pinned by the kernel property suite).
         if beta == 0.0 {
-            let base = s * self.cap;
+            // The out side is member-major: row `s` is contiguous.
+            let base = self.out.idx(s, 0);
             let (mut max_err, arg) = crate::kernels::row_err_argmax(
-                &self.out_max[base..base + self.k],
-                &self.out_min[base..base + self.k],
+                &self.out.max[base..base + self.k],
+                &self.out.min[base..base + self.k],
             );
             let mut best = if splittable && max_err > 0.0 {
                 Some(RowBest {
@@ -1266,7 +2012,7 @@ impl IncrementalDegrees {
     /// same capacity a dense engine would actually allocate). All storage
     /// modes maintain bit-identical state — sparse storage trades access
     /// constants for `O(n + m)` instead of `O(n·k)` accumulator memory
-    /// (see the "Tiered accumulator storage" module notes).
+    /// (see the "Storage tiers" module notes).
     pub fn new_with_storage(
         g: &Graph,
         p: &Partition,
@@ -1299,39 +2045,50 @@ impl IncrementalDegrees {
     ) -> Self {
         let n = g.num_nodes();
         assert_eq!(p.num_nodes(), n, "partition does not match graph");
-        let symmetric = !g.is_directed();
         let k = p.num_colors();
         let cap = k.next_power_of_two().max(4);
-        let sparse_accum = !track_summaries || storage == ResolvedStorage::Sparse;
         let mat_cap = if track_summaries { cap } else { 0 };
-        let dense_cap = if track_summaries && !sparse_accum {
-            cap
-        } else {
-            0
-        };
-        let in_cap = if symmetric { 0 } else { dense_cap };
-        let in_mat_cap = if symmetric { 0 } else { mat_cap };
+        let sparse = !track_summaries || storage == ResolvedStorage::Sparse;
+        let promote_k = if track_summaries { k } else { 0 };
+        // Whole-axis initialization sweeps every arc front to back; on a
+        // mapped graph let the kernel stream the cold pages in ahead of
+        // the scan instead of faulting them one miss at a time.
+        g.advise(ColumnAdvice::Sequential);
+        let sides = side_layouts(g.is_directed(), cap)
+            .into_iter()
+            .map(|(own_arcs, touch_arcs, strides)| {
+                let acc = if sparse {
+                    // Tiered rows: per node, sum the arc weights by color in
+                    // arc order (a stable sort preserves that order within a
+                    // color, so the sums are bit-identical to the dense
+                    // accumulation) and keep the non-zero pairs; summary
+                    // engines promote rows that already meet the density bar.
+                    let rows = (0..n as NodeId)
+                        .map(|v| {
+                            let row = sparse_row_from_arcs(own_arcs(g, v), p);
+                            RowRep::from_sorted(row, promote_k)
+                        })
+                        .collect();
+                    Accum::Rows(rows)
+                } else {
+                    let mut vals = vec![0.0; n * cap];
+                    for v in 0..n as NodeId {
+                        let base = v as usize * cap;
+                        let (nbrs, wts) = own_arcs(g, v);
+                        for (&t, &w) in nbrs.iter().zip(wts) {
+                            vals[base + p.color_of(t) as usize] += w;
+                        }
+                    }
+                    Accum::Dense { vals, stride: cap }
+                };
+                Side::new(acc, Summaries::new(mat_cap, strides), touch_arcs)
+            })
+            .collect();
         let mut engine = IncrementalDegrees {
             n,
             k,
             cap,
-            dout: vec![0.0; n * dense_cap],
-            din: vec![0.0; n * in_cap],
-            sparse_out: Vec::new(),
-            sparse_in: Vec::new(),
-            sparse_accum,
-            promote: track_summaries && sparse_accum,
-            out_min: vec![0.0; mat_cap * mat_cap],
-            out_max: vec![0.0; mat_cap * mat_cap],
-            in_min: vec![0.0; in_mat_cap * in_mat_cap],
-            in_max: vec![0.0; in_mat_cap * in_mat_cap],
-            out_min_arg: vec![NO_ARG; mat_cap * mat_cap],
-            out_max_arg: vec![NO_ARG; mat_cap * mat_cap],
-            in_min_arg: vec![NO_ARG; in_mat_cap * in_mat_cap],
-            in_max_arg: vec![NO_ARG; in_mat_cap * in_mat_cap],
-            out_nz: vec![0; mat_cap * mat_cap],
-            in_nz: vec![0; in_mat_cap * in_mat_cap],
-            symmetric,
+            sides,
             track_summaries,
             last_beta: 0.0,
             row_max_err: vec![0.0; mat_cap],
@@ -1345,64 +2102,14 @@ impl IncrementalDegrees {
             mark_gen: 0,
             touched_nodes: Vec::new(),
             touched_deltas: Vec::new(),
-            color_slot: vec![0; mat_cap],
-            touched_colors: Vec::new(),
-            row_scratch: vec![0.0; 4 * mat_cap],
-            row_arg_scratch: vec![NO_ARG; 4 * mat_cap],
-            row_nz_scratch: vec![0; 2 * mat_cap],
-            entry_scratch_out: Vec::new(),
-            entry_scratch_in: Vec::new(),
-            edge_patches_out: Vec::new(),
-            edge_patches_in: Vec::new(),
-            edge_slot_out: HashMap::new(),
-            edge_slot_in: HashMap::new(),
-            edge_acc_out: Vec::new(),
-            edge_acc_in: Vec::new(),
-            edge_acc_slot_out: HashMap::new(),
-            edge_acc_slot_in: HashMap::new(),
+            batch: ColorBatch {
+                slot: vec![0; mat_cap],
+                ..ColorBatch::default()
+            },
+            fold: FoldScratch::default(),
             chunk_out: Vec::new(),
-            merge_scratch: Vec::new(),
-            merge_scratch_in: Vec::new(),
         };
-
-        // Whole-axis initialization sweeps every arc front to back; on a
-        // mapped graph let the kernel stream the cold pages in ahead of
-        // the scan instead of faulting them one miss at a time.
-        g.advise(ColumnAdvice::Sequential);
-        if sparse_accum {
-            // Tiered accumulator rows: per node, sum the arc weights by
-            // color in arc order (a stable sort preserves that order within
-            // a color, so the sums are bit-identical to the dense
-            // accumulation) and keep the non-zero pairs; summary engines
-            // promote rows that already meet the density bar.
-            let promote_k = if engine.promote { k } else { 0 };
-            engine.sparse_out = (0..n as NodeId)
-                .map(|v| RowRep::from_sorted(sparse_row_from_arcs(g.out_arcs(v), p), promote_k))
-                .collect();
-            if !symmetric {
-                engine.sparse_in = (0..n as NodeId)
-                    .map(|v| RowRep::from_sorted(sparse_row_from_arcs(g.in_arcs(v), p), promote_k))
-                    .collect();
-            }
-        } else {
-            // Dense accumulators: one sweep over each adjacency direction.
-            let (offs, tgts, wts) = g.out_adjacency();
-            for v in 0..n {
-                let base = v * cap;
-                for e in offs[v]..offs[v + 1] {
-                    engine.dout[base + p.color_of(tgts[e]) as usize] += wts[e];
-                }
-            }
-            if !symmetric {
-                let (offs, srcs, wts) = g.in_adjacency();
-                for v in 0..n {
-                    let base = v * cap;
-                    for e in offs[v]..offs[v + 1] {
-                        engine.din[base + p.color_of(srcs[e]) as usize] += wts[e];
-                    }
-                }
-            }
-        }
+        engine.fold.resize(mat_cap);
         if track_summaries {
             // Pair summaries: scan each color's members once.
             for s in 0..k {
@@ -1424,112 +2131,39 @@ impl IncrementalDegrees {
     /// recomputed.
     #[must_use]
     pub fn snapshot(&self) -> EngineSnapshot {
-        fn tight<T: Copy>(padded: &[T], rows: usize, cols: usize, stride: usize) -> Vec<T> {
-            let mut out = Vec::with_capacity(rows * cols);
-            for r in 0..rows {
-                out.extend_from_slice(&padded[r * stride..r * stride + cols]);
-            }
-            out
-        }
-        fn rows_snapshot(rows: &[RowRep]) -> RowsSnapshot {
-            if rows.is_empty() {
-                // Absent direction (dense storage, symmetric in-side, or
-                // an empty graph): all columns empty, `is_present` false.
-                return RowsSnapshot::default();
-            }
-            let mut snap = RowsSnapshot {
-                offsets: Vec::with_capacity(rows.len() + 1),
-                colors: Vec::new(),
-                weights: Vec::new(),
-                dense: Vec::with_capacity(rows.len()),
-            };
-            snap.offsets.push(0);
-            let mut buf = Vec::new();
-            for row in rows {
-                buf.clear();
-                row.push_nonzero_entries(&mut buf);
-                for &(c, w) in &buf {
-                    snap.colors.push(c);
-                    snap.weights.push(w);
-                }
-                snap.offsets.push(snap.colors.len());
-                snap.dense.push(row.is_dense());
-            }
-            snap
-        }
         let (n, k, cap) = (self.n, self.k, self.cap);
+        let plane = |padded: &[f64]| square(padded, k, cap);
+        let arg_plane = |padded: &[u32]| square(padded, k, cap);
+        let out = &self.sides[0];
+        let absent = Summaries::default();
+        let ins = self.sides.get(1).map_or(&absent, |side| &side.sums);
+        let (dout, rows_out) = out.acc.snapshot(n, k);
+        let (din, rows_in) = self.sides.get(1).map_or_else(
+            || (Vec::new().into(), RowsSnapshot::default()),
+            |side| side.acc.snapshot(n, k),
+        );
         EngineSnapshot {
             n,
             k,
-            symmetric: self.symmetric,
+            symmetric: self.is_symmetric(),
             track_summaries: self.track_summaries,
-            sparse_accum: self.sparse_accum,
-            promote: self.promote,
+            sparse_accum: out.acc.is_rows(),
+            promote: self.track_summaries && out.acc.is_rows(),
             last_beta: self.last_beta,
-            dout: tight(&self.dout, if self.dout.is_empty() { 0 } else { n }, k, cap).into(),
-            din: tight(&self.din, if self.din.is_empty() { 0 } else { n }, k, cap).into(),
-            rows_out: rows_snapshot(&self.sparse_out),
-            rows_in: rows_snapshot(&self.sparse_in),
-            out_min: tight(
-                &self.out_min,
-                if self.out_min.is_empty() { 0 } else { k },
-                k,
-                cap,
-            ),
-            out_max: tight(
-                &self.out_max,
-                if self.out_max.is_empty() { 0 } else { k },
-                k,
-                cap,
-            ),
-            in_min: tight(
-                &self.in_min,
-                if self.in_min.is_empty() { 0 } else { k },
-                k,
-                cap,
-            ),
-            in_max: tight(
-                &self.in_max,
-                if self.in_max.is_empty() { 0 } else { k },
-                k,
-                cap,
-            ),
-            out_min_arg: tight(
-                &self.out_min_arg,
-                if self.out_min_arg.is_empty() { 0 } else { k },
-                k,
-                cap,
-            ),
-            out_max_arg: tight(
-                &self.out_max_arg,
-                if self.out_max_arg.is_empty() { 0 } else { k },
-                k,
-                cap,
-            ),
-            in_min_arg: tight(
-                &self.in_min_arg,
-                if self.in_min_arg.is_empty() { 0 } else { k },
-                k,
-                cap,
-            ),
-            in_max_arg: tight(
-                &self.in_max_arg,
-                if self.in_max_arg.is_empty() { 0 } else { k },
-                k,
-                cap,
-            ),
-            out_nz: tight(
-                &self.out_nz,
-                if self.out_nz.is_empty() { 0 } else { k },
-                k,
-                cap,
-            ),
-            in_nz: tight(
-                &self.in_nz,
-                if self.in_nz.is_empty() { 0 } else { k },
-                k,
-                cap,
-            ),
+            dout,
+            din,
+            rows_out,
+            rows_in,
+            out_min: plane(&out.sums.min),
+            out_max: plane(&out.sums.max),
+            in_min: plane(&ins.min),
+            in_max: plane(&ins.max),
+            out_min_arg: arg_plane(&out.sums.min_arg),
+            out_max_arg: arg_plane(&out.sums.max_arg),
+            in_min_arg: arg_plane(&ins.min_arg),
+            in_max_arg: arg_plane(&ins.max_arg),
+            out_nz: arg_plane(&out.sums.nz),
+            in_nz: arg_plane(&ins.nz),
         }
     }
 
@@ -1564,124 +2198,87 @@ impl IncrementalDegrees {
         );
         let cap = k.next_power_of_two().max(4);
         let mat_cap = if track_summaries { cap } else { 0 };
-        let dense_cap = if track_summaries && !sparse_accum {
-            cap
-        } else {
-            0
-        };
-        let in_cap = if symmetric { 0 } else { dense_cap };
-        let in_mat_cap = if symmetric { 0 } else { mat_cap };
-
-        // Re-pad a tight rows×cols column back into the full strided
-        // buffer construction would allocate (`alloc_rows × stride`;
-        // matrices are `cap × cap`, so rows `k..cap` exist and hold
-        // background values — splits that grow `k` within capacity index
-        // them before writing). `alloc_rows == 0` marks an absent buffer.
-        fn pad<T: Copy>(
-            tight: &[T],
-            rows: usize,
-            cols: usize,
-            alloc_rows: usize,
-            stride: usize,
-            fill: T,
-        ) -> Vec<T> {
-            if alloc_rows == 0 {
-                assert!(
-                    tight.is_empty(),
-                    "snapshot column for absent matrix is non-empty"
-                );
-                return Vec::new();
-            }
-            assert_eq!(tight.len(), rows * cols, "snapshot column length mismatch");
-            let mut out = vec![fill; alloc_rows * stride];
-            for r in 0..rows {
-                out[r * stride..r * stride + cols]
-                    .copy_from_slice(&tight[r * cols..(r + 1) * cols]);
-            }
-            out
-        }
-        fn rows_restore(snap: &RowsSnapshot, n: usize, promote_k: usize) -> Vec<RowRep> {
-            if !snap.is_present() {
-                assert_eq!(
-                    n, 0,
-                    "row snapshot absent for a direction that needs {n} rows"
-                );
-                return Vec::new();
-            }
-            assert_eq!(
-                snap.offsets.len(),
-                n + 1,
-                "row snapshot offsets length mismatch"
-            );
-            assert_eq!(
-                snap.dense.len(),
-                n,
-                "row snapshot tier-flag length mismatch"
-            );
-            assert_eq!(
-                *snap.offsets.last().unwrap(),
-                snap.colors.len(),
-                "row snapshot entry count mismatch"
-            );
-            assert_eq!(
-                snap.colors.len(),
-                snap.weights.len(),
-                "row snapshot column mismatch"
-            );
-            (0..n)
-                .map(|v| {
-                    let (lo, hi) = (snap.offsets[v], snap.offsets[v + 1]);
-                    let entries: Vec<(u32, f64)> = snap.colors[lo..hi]
-                        .iter()
-                        .copied()
-                        .zip(snap.weights[lo..hi].iter().copied())
-                        .collect();
-                    if snap.dense[v] {
-                        RowRep::dense_from_sorted(&entries, promote_k)
-                    } else {
-                        RowRep::Sparse(entries)
-                    }
-                })
-                .collect()
-        }
-
         let promote_k = if promote { k } else { 0 };
         // Mapped-restore path: the planes are read exactly once below,
         // front to back — let the pages stream in ahead of the copy.
         snap.dout.advise(ColumnAdvice::Sequential);
         snap.din.advise(ColumnAdvice::Sequential);
-        IncrementalDegrees {
+        let accum = |plane: &ColumnBuf<f64>, rows: &RowsSnapshot| {
+            if sparse_accum {
+                assert!(
+                    plane.is_empty(),
+                    "snapshot column for absent matrix is non-empty"
+                );
+                Accum::Rows(rows_restore(rows, n, promote_k))
+            } else {
+                assert!(
+                    !rows.is_present(),
+                    "row snapshot present for a dense-storage engine"
+                );
+                let vals = pad(plane, n, k, n, cap, 0.0);
+                Accum::Dense { vals, stride: cap }
+            }
+        };
+        type Planes<'a> = (&'a [f64], &'a [f64], &'a [u32], &'a [u32], &'a [u32]);
+        let sums = |(min, max, min_arg, max_arg, nz): Planes, strides: (usize, usize)| Summaries {
+            min: pad(min, k, k, mat_cap, cap, 0.0),
+            max: pad(max, k, k, mat_cap, cap, 0.0),
+            min_arg: pad(min_arg, k, k, mat_cap, cap, NO_ARG),
+            max_arg: pad(max_arg, k, k, mat_cap, cap, NO_ARG),
+            nz: pad(nz, k, k, mat_cap, cap, 0),
+            member_stride: strides.0,
+            other_stride: strides.1,
+            rescans: Vec::new(),
+        };
+        let columns: [(&ColumnBuf<f64>, &RowsSnapshot, Planes); 2] = [
+            (
+                &snap.dout,
+                &snap.rows_out,
+                (
+                    &snap.out_min,
+                    &snap.out_max,
+                    &snap.out_min_arg,
+                    &snap.out_max_arg,
+                    &snap.out_nz,
+                ),
+            ),
+            (
+                &snap.din,
+                &snap.rows_in,
+                (
+                    &snap.in_min,
+                    &snap.in_max,
+                    &snap.in_min_arg,
+                    &snap.in_max_arg,
+                    &snap.in_nz,
+                ),
+            ),
+        ];
+        if symmetric {
+            // The in side is not stored: every in column must be empty.
+            let (din, rows_in, planes) = columns[1];
+            let (min, max, min_arg, max_arg, nz) = planes;
+            assert!(
+                din.is_empty()
+                    && !rows_in.is_present()
+                    && [min.len(), max.len(), min_arg.len(), max_arg.len(), nz.len()]
+                        .iter()
+                        .all(|&len| len == 0),
+                "snapshot column for absent matrix is non-empty"
+            );
+        }
+        let sides = side_layouts(!symmetric, cap)
+            .into_iter()
+            .zip(columns)
+            .map(|((_, touch_arcs, strides), (plane, rows, planes))| {
+                Side::new(accum(plane, rows), sums(planes, strides), touch_arcs)
+            })
+            .collect();
+        let mut engine = IncrementalDegrees {
             n,
             k,
             cap,
-            dout: pad(
-                &snap.dout,
-                n,
-                k,
-                if dense_cap > 0 { n } else { 0 },
-                cap,
-                0.0,
-            ),
-            din: pad(&snap.din, n, k, if in_cap > 0 { n } else { 0 }, cap, 0.0),
-            sparse_out: rows_restore(&snap.rows_out, if sparse_accum { n } else { 0 }, promote_k),
-            sparse_in: rows_restore(
-                &snap.rows_in,
-                if sparse_accum && !symmetric { n } else { 0 },
-                promote_k,
-            ),
-            sparse_accum,
-            promote,
-            out_min: pad(&snap.out_min, k, k, mat_cap, cap, 0.0),
-            out_max: pad(&snap.out_max, k, k, mat_cap, cap, 0.0),
-            in_min: pad(&snap.in_min, k, k, in_mat_cap, cap, 0.0),
-            in_max: pad(&snap.in_max, k, k, in_mat_cap, cap, 0.0),
-            out_min_arg: pad(&snap.out_min_arg, k, k, mat_cap, cap, NO_ARG),
-            out_max_arg: pad(&snap.out_max_arg, k, k, mat_cap, cap, NO_ARG),
-            in_min_arg: pad(&snap.in_min_arg, k, k, in_mat_cap, cap, NO_ARG),
-            in_max_arg: pad(&snap.in_max_arg, k, k, in_mat_cap, cap, NO_ARG),
-            out_nz: pad(&snap.out_nz, k, k, mat_cap, cap, 0),
-            in_nz: pad(&snap.in_nz, k, k, in_mat_cap, cap, 0),
-            symmetric,
+            sides,
             track_summaries,
             last_beta: snap.last_beta,
             row_max_err: vec![0.0; mat_cap],
@@ -1695,62 +2292,26 @@ impl IncrementalDegrees {
             mark_gen: 0,
             touched_nodes: Vec::new(),
             touched_deltas: Vec::new(),
-            color_slot: vec![0; mat_cap],
-            touched_colors: Vec::new(),
-            row_scratch: vec![0.0; 4 * mat_cap],
-            row_arg_scratch: vec![NO_ARG; 4 * mat_cap],
-            row_nz_scratch: vec![0; 2 * mat_cap],
-            entry_scratch_out: Vec::new(),
-            entry_scratch_in: Vec::new(),
-            edge_patches_out: Vec::new(),
-            edge_patches_in: Vec::new(),
-            edge_slot_out: HashMap::new(),
-            edge_slot_in: HashMap::new(),
-            edge_acc_out: Vec::new(),
-            edge_acc_in: Vec::new(),
-            edge_acc_slot_out: HashMap::new(),
-            edge_acc_slot_in: HashMap::new(),
+            batch: ColorBatch {
+                slot: vec![0; mat_cap],
+                ..ColorBatch::default()
+            },
+            fold: FoldScratch::default(),
             chunk_out: Vec::new(),
-            merge_scratch: Vec::new(),
-            merge_scratch_in: Vec::new(),
-        }
+        };
+        engine.fold.resize(mat_cap);
+        engine
     }
 
-    /// Promotion hint for [`RowRep::add`]: the live color count when
-    /// tiering is active, `0` (never promote) otherwise.
+    /// Promotion hint for [`RowRep::add`]: the live color count in summary
+    /// engines, `0` (never promote) in degrees-only ones. Dense sides
+    /// ignore it.
     #[inline]
     fn promote_k(&self) -> usize {
-        if self.promote {
+        if self.track_summaries {
             self.k
         } else {
             0
-        }
-    }
-
-    /// Add `delta` to the maintained accumulator value, returning
-    /// `(old, new)` — the one write primitive shared by every event path,
-    /// identical arithmetic in both storage tiers.
-    #[inline]
-    fn accum_add(&mut self, outgoing: bool, v: NodeId, col: usize, delta: f64) -> (f64, f64) {
-        if self.sparse_accum {
-            let promote_k = self.promote_k();
-            let rows = if outgoing || self.symmetric {
-                &mut self.sparse_out
-            } else {
-                &mut self.sparse_in
-            };
-            rows[v as usize].add(col as u32, delta, promote_k)
-        } else {
-            let acc = if outgoing || self.symmetric {
-                &mut self.dout
-            } else {
-                &mut self.din
-            };
-            let slot = &mut acc[v as usize * self.cap + col];
-            let old = *slot;
-            let new = old + delta;
-            *slot = new;
-            (old, new)
         }
     }
 
@@ -1762,23 +2323,10 @@ impl IncrementalDegrees {
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        let rows = |v: &Vec<RowRep>| {
-            v.capacity() * size_of::<RowRep>() + v.iter().map(RowRep::heap_bytes).sum::<usize>()
-        };
-        let mut bytes = self.dout.capacity() * 8 + self.din.capacity() * 8;
-        bytes += rows(&self.sparse_out) + rows(&self.sparse_in);
-        bytes += (self.out_min.capacity()
-            + self.out_max.capacity()
-            + self.in_min.capacity()
-            + self.in_max.capacity())
-            * 8;
-        bytes += (self.out_min_arg.capacity()
-            + self.out_max_arg.capacity()
-            + self.in_min_arg.capacity()
-            + self.in_max_arg.capacity()
-            + self.out_nz.capacity()
-            + self.in_nz.capacity())
-            * 4;
+        let mut bytes = 0;
+        for side in &self.sides {
+            bytes += side.acc.heap_bytes() + side.sums.heap_bytes();
+        }
         bytes += self.row_max_err.capacity() * 8
             + self.row_best.capacity() * size_of::<Option<RowBest>>()
             + self.row_err_dirty.capacity()
@@ -1787,12 +2335,9 @@ impl IncrementalDegrees {
             + self.node_delta.capacity() * 8
             + self.node_mark.capacity() * 8;
         bytes += self.touched_nodes.capacity() * 4 + self.touched_deltas.capacity() * 8;
-        bytes += self.color_slot.capacity() * 4
-            + self.touched_colors.capacity() * size_of::<TouchedColor>();
-        bytes += self.row_scratch.capacity() * 8
-            + self.row_arg_scratch.capacity() * 4
-            + self.row_nz_scratch.capacity() * 4;
-        bytes
+        bytes += self.batch.slot.capacity() * 4
+            + self.batch.records.capacity() * size_of::<TouchedColor>();
+        bytes + self.fold.heap_bytes()
     }
 
     /// What [`Self::resident_bytes`] would report with a *dense*
@@ -1804,17 +2349,9 @@ impl IncrementalDegrees {
     /// scales where a dense engine is deliberately never built.
     #[must_use]
     pub fn projected_dense_resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let rows = |v: &Vec<RowRep>| {
-            v.capacity() * size_of::<RowRep>() + v.iter().map(RowRep::heap_bytes).sum::<usize>()
-        };
-        let accum_now = self.dout.capacity() * 8
-            + self.din.capacity() * 8
-            + rows(&self.sparse_out)
-            + rows(&self.sparse_in);
-        let dirs = if self.symmetric { 1 } else { 2 };
+        let accum_now: usize = self.sides.iter().map(|s| s.acc.heap_bytes()).sum();
         let dense_accum = if self.track_summaries {
-            self.n * self.cap * 8 * dirs
+            self.n * self.cap * 8 * self.sides.len()
         } else {
             // Degrees-only engines never hold dense accumulators.
             accum_now
@@ -1841,28 +2378,19 @@ impl IncrementalDegrees {
     /// their own in-direction work when this holds.
     #[inline]
     pub fn is_symmetric(&self) -> bool {
-        self.symmetric
+        self.sides.len() == 1
     }
 
     /// The maintained `w(v, P_j)` accumulator.
     #[inline]
     pub fn out_degree_of(&self, v: NodeId, color: u32) -> f64 {
-        if self.sparse_accum {
-            return self.sparse_out[v as usize].get(color);
-        }
-        self.dout[v as usize * self.cap + color as usize]
+        self.sides[0].acc.get(v, color)
     }
 
     /// The maintained `w(P_j, v)` accumulator.
     #[inline]
     pub fn in_degree_of(&self, v: NodeId, color: u32) -> f64 {
-        if self.symmetric {
-            return self.out_degree_of(v, color);
-        }
-        if self.sparse_accum {
-            return self.sparse_in[v as usize].get(color);
-        }
-        self.din[v as usize * self.cap + color as usize]
+        in_side(&self.sides).acc.get(v, color)
     }
 
     /// The full out-degree accumulator row of `v` (length `k`). Contiguous
@@ -1871,27 +2399,14 @@ impl IncrementalDegrees {
     /// per-color values through [`Self::out_degree_of`] instead.
     #[inline]
     pub fn out_row(&self, v: NodeId) -> &[f64] {
-        assert!(
-            !self.sparse_accum,
-            "sparse-storage engines keep tiered rows; use out_degree_of"
-        );
-        let base = v as usize * self.cap;
-        &self.dout[base..base + self.k]
+        self.sides[0].acc.dense_row(v, self.k)
     }
 
     /// The full in-degree accumulator row of `v` (length `k`); see
     /// [`Self::out_row`] for the sparse-storage caveat.
     #[inline]
     pub fn in_row(&self, v: NodeId) -> &[f64] {
-        if self.symmetric {
-            return self.out_row(v);
-        }
-        assert!(
-            !self.sparse_accum,
-            "sparse-storage engines keep tiered rows; use in_degree_of"
-        );
-        let base = v as usize * self.cap;
-        &self.din[base..base + self.k]
+        in_side(&self.sides).acc.dense_row(v, self.k)
     }
 
     /// Outgoing error `U − L` at `(i, j)` (same convention as
@@ -1902,7 +2417,7 @@ impl IncrementalDegrees {
             self.track_summaries,
             "pair summaries not tracked by this engine"
         );
-        self.out_max[i * self.cap + j] - self.out_min[i * self.cap + j]
+        self.sides[0].sums.error(i, j)
     }
 
     /// Incoming error at `(i, j)` (same convention as
@@ -1913,10 +2428,7 @@ impl IncrementalDegrees {
             self.track_summaries,
             "pair summaries not tracked by this engine"
         );
-        if self.symmetric {
-            return self.out_error(j, i);
-        }
-        self.in_max[i * self.cap + j] - self.in_min[i * self.cap + j]
+        in_side(&self.sides).sums.error(j, i)
     }
 
     /// Package the engine's pair summaries as a [`QErrorReport`] — the
@@ -1930,6 +2442,7 @@ impl IncrementalDegrees {
             "q_report requires a summary-tracking engine"
         );
         let k = self.k;
+        let out = &self.sides[0].sums;
         let mut max_q = 0.0f64;
         let mut worst = None;
         let mut total = 0.0f64;
@@ -1946,7 +2459,7 @@ impl IncrementalDegrees {
                     max_q = ei;
                     worst = Some((i as u32, j as u32, Direction::In));
                 }
-                if self.out_nz[i * self.cap + j] > 0 {
+                if out.nz[out.idx(i, j)] > 0 {
                     total += eo;
                     total += ei;
                     count += 2;
@@ -1983,87 +2496,58 @@ impl IncrementalDegrees {
         );
         self.ensure_capacity(self.k + 1);
         self.k += 1;
-
-        if !self.track_summaries {
-            self.apply_split_degrees_only(g, event);
-            #[cfg(debug_assertions)]
-            {
-                debug_assert_eq!(
-                    self.verify_against(g, p),
-                    Ok(()),
-                    "incremental state diverged from scratch recomputation"
-                );
+        let k = self.k;
+        if self.track_summaries {
+            // Fresh row/column for the child: "no edges" until proven
+            // otherwise.
+            for side in &mut self.sides {
+                side.sums.reset_color(child, k);
             }
-            return;
+            self.row_max_err[child] = 0.0;
+            self.row_best[child] = None;
         }
-        let cap = self.cap;
 
-        // Fresh row/column for the child: "no edges" until proven
-        // otherwise.
-        for i in 0..self.k {
-            self.out_min[i * cap + child] = 0.0;
-            self.out_max[i * cap + child] = 0.0;
-            self.out_min[child * cap + i] = 0.0;
-            self.out_max[child * cap + i] = 0.0;
-            self.out_min_arg[i * cap + child] = NO_ARG;
-            self.out_max_arg[i * cap + child] = NO_ARG;
-            self.out_min_arg[child * cap + i] = NO_ARG;
-            self.out_max_arg[child * cap + i] = NO_ARG;
-            self.out_nz[i * cap + child] = 0;
-            self.out_nz[child * cap + i] = 0;
-            if !self.symmetric {
-                self.in_min[i * cap + child] = 0.0;
-                self.in_max[i * cap + child] = 0.0;
-                self.in_min[child * cap + i] = 0.0;
-                self.in_max[child * cap + i] = 0.0;
-                self.in_min_arg[i * cap + child] = NO_ARG;
-                self.in_max_arg[i * cap + child] = NO_ARG;
-                self.in_min_arg[child * cap + i] = NO_ARG;
-                self.in_max_arg[child * cap + i] = NO_ARG;
-                self.in_nz[i * cap + child] = 0;
-                self.in_nz[child * cap + i] = 0;
+        // ---- Per side: the moved nodes' neighbors along the side's touch
+        // arcs (on the out side, the sources of edges into them) shift
+        // accumulator mass from column `parent` to column `child`.
+        let mut sides = std::mem::take(&mut self.sides);
+        for side in &mut sides {
+            self.collect_touched(g, &event.moved_nodes, side.touch_arcs);
+            self.apply_side(side, p, c, child);
+        }
+        self.sides = sides;
+
+        if self.track_summaries {
+            // ---- Member axes of child and parent. The child is rebuilt
+            // from its members' (now final) accumulator rows; the parent's
+            // entries over unchanged columns only shrank in membership, so
+            // they keep their value unless their tracked extremum attainer
+            // departed to the child (then a one-column member rescan
+            // re-derives it).
+            self.recompute_color_axis(p, child);
+            for side in &mut self.sides {
+                side.repair_parent_axis(p, (c, child), k, &mut self.fold);
             }
-        }
-        self.row_max_err[child] = 0.0;
-        self.row_best[child] = None;
 
-        // ---- Out side: sources with edges into the moved nodes (their
-        // dout mass shifts from column `parent` to column `child`), then
-        // for directed graphs the mirrored in side (targets of the moved
-        // nodes' out-edges).
-        self.collect_touched(g, &event.moved_nodes, true);
-        self.apply_side(p, c, child, true);
-        if !self.symmetric {
-            self.collect_touched(g, &event.moved_nodes, false);
-            self.apply_side(p, c, child, false);
-        }
-
-        // ---- Member axes of child and parent. The child is rebuilt from
-        // its members' (now final) accumulator rows; the parent's entries
-        // over unchanged columns only shrank in membership, so they keep
-        // their value unless their tracked extremum attainer departed to
-        // the child (then a one-column member rescan re-derives it).
-        self.recompute_color_axis(p, child);
-        self.recompute_parent_axis(p, c, child);
-
-        // ---- Witness-row invalidation: rows recomputed above changed
-        // entries (error and best both stale), and any cached best that
-        // pointed at the parent saw its target *size* change — its error is
-        // untouched, so only the β-weighted best goes stale. A negative β
-        // voids that shortcut: shrinking a target color *raises* candidate
-        // weights, so stale non-best candidates can overtake silently —
-        // dirty every row's best.
-        self.row_err_dirty[c] = true;
-        self.row_best_dirty[c] = true;
-        self.row_err_dirty[child] = true;
-        self.row_best_dirty[child] = true;
-        if self.last_beta < 0.0 {
-            self.row_best_dirty[..self.k].fill(true);
-        } else {
-            for s in 0..self.k {
-                if let Some(best) = &self.row_best[s] {
-                    if best.other as usize == c {
-                        self.row_best_dirty[s] = true;
+            // ---- Witness-row invalidation: rows recomputed above changed
+            // entries (error and best both stale), and any cached best that
+            // pointed at the parent saw its target *size* change — its error
+            // is untouched, so only the β-weighted best goes stale. A
+            // negative β voids that shortcut: shrinking a target color
+            // *raises* candidate weights, so stale non-best candidates can
+            // overtake silently — dirty every row's best.
+            self.row_err_dirty[c] = true;
+            self.row_best_dirty[c] = true;
+            self.row_err_dirty[child] = true;
+            self.row_best_dirty[child] = true;
+            if self.last_beta < 0.0 {
+                self.row_best_dirty[..k].fill(true);
+            } else {
+                for s in 0..k {
+                    if let Some(best) = &self.row_best[s] {
+                        if best.other as usize == c {
+                            self.row_best_dirty[s] = true;
+                        }
                     }
                 }
             }
@@ -2079,35 +2563,78 @@ impl IncrementalDegrees {
         }
     }
 
-    /// The degrees-only split path: shift each touched node's sparse
-    /// accumulator mass from the parent to the child column. Pure
-    /// `O(deg(moved) · log deg)` — no summaries, no matrices.
-    fn apply_split_degrees_only(&mut self, g: &Graph, event: &SplitEvent) {
-        let c = event.parent;
-        let child = event.child;
-        // Incoming arcs identify the nodes whose *out*-rows change, and
-        // vice versa; undirected graphs mirror, so one pass suffices.
-        let directions: &[bool] = if self.symmetric {
-            &[true]
+    /// Apply one side of a split: shift every touched node's mass from the
+    /// parent to the child column and, in summary engines, patch the
+    /// entries over *other* colors' member axes, then settle the batch
+    /// (child-column entries, lost-extremum rescans, witness-row
+    /// invalidation). Degrees-only engines only shift — pure
+    /// `O(deg(moved) · log deg)`. `collect_touched` must have run for this
+    /// side.
+    fn apply_side(&mut self, side: &mut Side, p: &Partition, c: usize, child: usize) {
+        let touched = std::mem::take(&mut self.touched_nodes);
+        let deltas = std::mem::take(&mut self.touched_deltas);
+        let promote_k = self.promote_k();
+        let columns = (c as u32, child as u32);
+        if self.track_summaries {
+            self.batch.begin(c);
+            let colors = p.assignment();
+            let (batch, sums) = (&mut self.batch, &mut side.sums);
+            side.acc.split_shift_each(
+                &touched,
+                &deltas,
+                columns,
+                promote_k,
+                |pos, u, old, new, child_val| {
+                    if let Some(&w) = touched.get(pos + PREFETCH_AHEAD) {
+                        kernels::prefetch_read(colors, w as usize);
+                    }
+                    let i = colors[u as usize];
+                    if i as usize != c && i as usize != child {
+                        // (both color axes are rebuilt afterwards)
+                        batch.record(sums, i, u, old, new, child_val);
+                    }
+                },
+            );
+            self.settle_batch(side, p, Some(child));
         } else {
-            &[true, false]
-        };
-        for &incoming in directions {
-            self.collect_touched(g, &event.moved_nodes, incoming);
-            let touched = std::mem::take(&mut self.touched_nodes);
-            let deltas = std::mem::take(&mut self.touched_deltas);
-            for (&u, &d) in touched.iter().zip(deltas.iter()) {
-                let row = if incoming {
-                    &mut self.sparse_out[u as usize]
-                } else {
-                    &mut self.sparse_in[u as usize]
-                };
-                row.add(c, -d, 0);
-                row.add(child, d, 0);
-            }
-            self.touched_nodes = touched;
-            self.touched_deltas = deltas;
+            side.acc
+                .split_shift_each(&touched, &deltas, columns, promote_k, |_, _, _, _, _| {});
         }
+        self.touched_nodes = touched;
+        self.touched_deltas = deltas;
+    }
+
+    /// Close a split or merge batch on `side`: settle each touched color's
+    /// entry against the batch column, install its child-column entry (a
+    /// split's `child`), dirty its witness row, then run the queued rescans.
+    fn settle_batch(&mut self, side: &mut Side, p: &Partition, child: Option<usize>) {
+        let other = self.batch.other;
+        for t in &self.batch.records {
+            let i = t.color as usize;
+            let size = p.size(t.color);
+            side.sums.settle(i, other, size, &t.patch);
+            if let Some(child) = child {
+                let (mut mn, mut mx) = (t.child_min, t.child_max);
+                let (mut amn, mut amx) = (t.child_min_arg, t.child_max_arg);
+                if t.count < size {
+                    // Some member of the color has no edges towards the
+                    // child: an (unknown) attainer of weight zero.
+                    if mn > 0.0 {
+                        mn = 0.0;
+                        amn = NO_ARG;
+                    }
+                    if mx < 0.0 {
+                        mx = 0.0;
+                        amx = NO_ARG;
+                    }
+                }
+                let idx = side.sums.idx(i, child);
+                side.sums.set(idx, (mn, mx, amn, amx, t.child_nonzero));
+            }
+            self.row_err_dirty[i] = true;
+            self.row_best_dirty[i] = true;
+        }
+        side.flush_rescans(p, &mut self.fold);
     }
 
     /// Patch the engine for a batch of edge events — graph-free dynamic
@@ -2128,248 +2655,45 @@ impl IncrementalDegrees {
         if events.is_empty() {
             return;
         }
+        let sides = &mut self.sides;
         if !self.track_summaries {
             // Degrees-only mode: pure sparse-row updates, O(log deg) each.
-            for ev in events {
-                let cu = p.color_of(ev.source);
-                let cv = p.color_of(ev.target);
-                self.sparse_out[ev.source as usize].add(cv, ev.delta, 0);
-                if self.symmetric {
-                    if ev.source != ev.target {
-                        self.sparse_out[ev.target as usize].add(cu, ev.delta, 0);
-                    }
-                } else {
-                    self.sparse_in[ev.target as usize].add(cu, ev.delta, 0);
-                }
-            }
+            edge_arc_changes(p, events, sides.len(), |d, u, col, delta| {
+                sides[d].acc.add(u, col, delta, 0);
+            });
             return;
         }
-        self.edge_patches_out.clear();
-        self.edge_patches_in.clear();
-        self.edge_slot_out.clear();
-        self.edge_slot_in.clear();
         // Combine the events into one delta per (node, column) first: the
-        // entry-patch rules below (inline extension + exact lost-extremum
+        // entry-patch rules (inline extension + exact lost-extremum
         // detection) are sound only when each accumulator cell changes
         // exactly once per batch, as on the split path.
-        let mut acc_out = std::mem::take(&mut self.edge_acc_out);
-        let mut acc_in = std::mem::take(&mut self.edge_acc_in);
-        acc_out.clear();
-        acc_in.clear();
-        self.edge_acc_slot_out.clear();
-        self.edge_acc_slot_in.clear();
-        for ev in events {
-            let cu = p.color_of(ev.source);
-            let cv = p.color_of(ev.target);
-            accumulate_edge(
-                &mut acc_out,
-                &mut self.edge_acc_slot_out,
-                ev.source,
-                cv,
-                ev.delta,
-            );
-            if self.symmetric {
-                // The mirrored arc's out-accumulator (the in-state is not
-                // stored); a self-loop is a single stored arc.
-                if ev.source != ev.target {
-                    accumulate_edge(
-                        &mut acc_out,
-                        &mut self.edge_acc_slot_out,
-                        ev.target,
-                        cu,
-                        ev.delta,
-                    );
-                }
-            } else {
-                accumulate_edge(
-                    &mut acc_in,
-                    &mut self.edge_acc_slot_in,
-                    ev.target,
-                    cu,
-                    ev.delta,
-                );
-            }
+        for side in sides.iter_mut() {
+            side.edge_acc.clear();
+            side.edge_acc_slot.clear();
+            side.edge_patches.clear();
+            side.edge_slot.clear();
         }
-        for &(u, col, d) in &acc_out {
-            if d != 0.0 {
-                self.patch_edge_value(true, u, p.color_of(u), col, d);
-            }
-        }
-        self.finalize_edge_batch(p, true);
-        if !self.symmetric {
-            for &(u, col, d) in &acc_in {
+        edge_arc_changes(p, events, sides.len(), |d, u, col, delta| {
+            sides[d].accumulate_edge(u, col, delta);
+        });
+        let promote_k = self.promote_k();
+        for side in &mut self.sides {
+            let changes = std::mem::take(&mut side.edge_acc);
+            for &(u, col, d) in &changes {
                 if d != 0.0 {
-                    self.patch_edge_value(false, u, p.color_of(u), col, d);
+                    side.patch_edge(u, (p.color_of(u), col), d, promote_k);
                 }
             }
-            self.finalize_edge_batch(p, false);
-        }
-        self.edge_acc_out = acc_out;
-        self.edge_acc_in = acc_in;
-    }
-
-    /// Apply one arc-accumulator change of an edge batch and fold it into
-    /// the affected pair-summary entry's patch record. `member_color` is
-    /// the color of `u` (the node whose accumulator row changes); the
-    /// entry is `(member_color, other_color)` in the out matrix or
-    /// `(other_color, member_color)` in the in matrix.
-    fn patch_edge_value(
-        &mut self,
-        outgoing: bool,
-        u: NodeId,
-        member_color: u32,
-        other_color: u32,
-        delta: f64,
-    ) {
-        let cap = self.cap;
-        let (old, new) = self.accum_add(outgoing, u, other_color as usize, delta);
-        let (entry_row, entry_col) = if outgoing {
-            (member_color, other_color)
-        } else {
-            (other_color, member_color)
-        };
-        let idx = entry_row as usize * cap + entry_col as usize;
-        let (cur_min, cur_max, arg_min, arg_max) = if outgoing {
-            (
-                self.out_min[idx],
-                self.out_max[idx],
-                self.out_min_arg[idx],
-                self.out_max_arg[idx],
-            )
-        } else {
-            (
-                self.in_min[idx],
-                self.in_max[idx],
-                self.in_min_arg[idx],
-                self.in_max_arg[idx],
-            )
-        };
-        let (patches, slots) = if outgoing {
-            (&mut self.edge_patches_out, &mut self.edge_slot_out)
-        } else {
-            (&mut self.edge_patches_in, &mut self.edge_slot_in)
-        };
-        let slot = *slots.entry(idx).or_insert_with(|| {
-            patches.push(EdgeEntryPatch {
-                row: entry_row,
-                col: entry_col,
-                orig_min: cur_min,
-                orig_max: cur_max,
-                rescan_min: false,
-                rescan_max: false,
-                nz_delta: 0,
-            });
-            patches.len() - 1
-        });
-        let rec = &mut patches[slot];
-        // Exact lost-extremum test against the batch-start snapshot, with
-        // unknown attainers falling back to the conservative heuristic —
-        // the same rule as [`Self::patch_entry`] on the split path.
-        if new < old {
-            if old == rec.orig_max && (arg_max == NO_ARG || arg_max == u) {
-                rec.rescan_max = true;
+            side.edge_acc = changes;
+            for rec in &side.edge_patches {
+                let member = rec.member as usize;
+                let size = p.size(rec.member);
+                side.sums
+                    .settle(member, rec.other as usize, size, &rec.patch);
+                self.row_err_dirty[member] = true;
+                self.row_best_dirty[member] = true;
             }
-        } else if new > old && old == rec.orig_min && (arg_min == NO_ARG || arg_min == u) {
-            rec.rescan_min = true;
-        }
-        if (old == 0.0) != (new == 0.0) {
-            rec.nz_delta += if new != 0.0 { 1 } else { -1 };
-        }
-        let (emn, emx, amn, amx) = if outgoing {
-            (
-                &mut self.out_min[idx],
-                &mut self.out_max[idx],
-                &mut self.out_min_arg[idx],
-                &mut self.out_max_arg[idx],
-            )
-        } else {
-            (
-                &mut self.in_min[idx],
-                &mut self.in_max[idx],
-                &mut self.in_min_arg[idx],
-                &mut self.in_max_arg[idx],
-            )
-        };
-        if new < *emn {
-            *emn = new;
-            *amn = u;
-        }
-        if new > *emx {
-            *emx = new;
-            *amx = u;
-        }
-    }
-
-    /// Finalize one direction of an edge batch: apply the queued
-    /// zero-crossing count deltas, decide which flagged extrema actually
-    /// need a member rescan (the `min == 0` zero-member rule cancels the
-    /// rest, exactly as on the split path), run the rescans, and dirty the
-    /// touched witness rows.
-    fn finalize_edge_batch(&mut self, p: &Partition, outgoing: bool) {
-        let cap = self.cap;
-        let patches = std::mem::take(if outgoing {
-            &mut self.edge_patches_out
-        } else {
-            &mut self.edge_patches_in
-        });
-        let mut rescans = std::mem::take(if outgoing {
-            &mut self.entry_scratch_out
-        } else {
-            &mut self.entry_scratch_in
-        });
-        rescans.clear();
-        for rec in &patches {
-            let idx = rec.row as usize * cap + rec.col as usize;
-            let member_color = if outgoing { rec.row } else { rec.col };
-            let size = p.size(member_color);
-            let nz = {
-                let slot = if outgoing {
-                    &mut self.out_nz[idx]
-                } else {
-                    &mut self.in_nz[idx]
-                };
-                *slot = (*slot as i64 + rec.nz_delta) as u32;
-                *slot
-            };
-            let (mn, mx) = if outgoing {
-                (self.out_min[idx], self.out_max[idx])
-            } else {
-                (self.in_min[idx], self.in_max[idx])
-            };
-            let zero_member = (nz as usize) < size;
-            let need = (rec.rescan_min && !(mn == 0.0 && zero_member))
-                || (rec.rescan_max && !(mx == 0.0 && zero_member));
-            if need {
-                rescans.push((rec.row, rec.col));
-            } else {
-                // A flagged side whose zero extremum provably stands keeps
-                // its value but no longer knows a specific attainer.
-                if rec.rescan_min {
-                    if outgoing {
-                        self.out_min_arg[idx] = NO_ARG;
-                    } else {
-                        self.in_min_arg[idx] = NO_ARG;
-                    }
-                }
-                if rec.rescan_max {
-                    if outgoing {
-                        self.out_max_arg[idx] = NO_ARG;
-                    } else {
-                        self.in_max_arg[idx] = NO_ARG;
-                    }
-                }
-            }
-            self.row_err_dirty[member_color as usize] = true;
-            self.row_best_dirty[member_color as usize] = true;
-        }
-        if outgoing {
-            self.rescan_out_entries(p, &rescans);
-            self.entry_scratch_out = rescans;
-            self.edge_patches_out = patches;
-        } else {
-            self.rescan_in_entries(p, &rescans);
-            self.entry_scratch_in = rescans;
-            self.edge_patches_in = patches;
+            side.flush_rescans(p, &mut self.fold);
         }
     }
 
@@ -2388,16 +2712,7 @@ impl IncrementalDegrees {
         if self.k < 2 {
             return None;
         }
-        let view = SummaryView {
-            k: self.k,
-            cap: self.cap,
-            symmetric: self.symmetric,
-            out_min: &self.out_min,
-            out_max: &self.out_max,
-            in_min: &self.in_min,
-            in_max: &self.in_max,
-        };
-        pick_merge_view(&view, self.k, max_bound)
+        pick_merge_view(&SummaryView::of(&self.sides, self.k), self.k, max_bound)
     }
 
     /// The post-merge q-error bound of one specific pair (see
@@ -2411,16 +2726,13 @@ impl IncrementalDegrees {
             "merge bounds require a summary-tracking engine"
         );
         assert!((a as usize) < self.k && (b as usize) < self.k && a < b);
-        let view = SummaryView {
-            k: self.k,
-            cap: self.cap,
-            symmetric: self.symmetric,
-            out_min: &self.out_min,
-            out_max: &self.out_max,
-            in_min: &self.in_min,
-            in_max: &self.in_max,
-        };
-        merge_bound(&view, self.k, a as usize, b as usize, f64::INFINITY)
+        merge_bound(
+            &SummaryView::of(&self.sides, self.k),
+            self.k,
+            a as usize,
+            b as usize,
+            f64::INFINITY,
+        )
     }
 
     /// Every color pair whose post-merge bound stays at or below
@@ -2444,15 +2756,7 @@ impl IncrementalDegrees {
             self.row_err_dirty[..self.k].iter().all(|d| !d),
             "merge_candidates with dirty rows; call refresh() first"
         );
-        let view = SummaryView {
-            k: self.k,
-            cap: self.cap,
-            symmetric: self.symmetric,
-            out_min: &self.out_min,
-            out_max: &self.out_max,
-            in_min: &self.in_min,
-            in_max: &self.in_max,
-        };
+        let view = SummaryView::of(&self.sides, self.k);
         let eligible: Vec<usize> = (0..self.k)
             .filter(|&c| self.row_max_err[c] <= max_bound)
             .collect();
@@ -2505,137 +2809,95 @@ impl IncrementalDegrees {
             (loser != last).then_some(last as u32),
             "merge event relabel does not match the engine's color count"
         );
-
-        if !self.track_summaries {
-            self.apply_merge_degrees_only(g, p, event);
-            #[cfg(debug_assertions)]
-            debug_assert_eq!(self.verify_against(g, p), Ok(()), "merge diverged");
-            return;
+        let promote_k = self.promote_k();
+        let mut sides = std::mem::take(&mut self.sides);
+        // ---- Fold the loser column into the winner's for the nodes holding
+        // weight towards the moved members (their neighbors along each
+        // side's touch arcs), capturing (node, old, new) winner-column
+        // values so entry patches can run after the relabel, in the final
+        // id space.
+        for side in &mut sides {
+            self.collect_touched(g, &event.moved_nodes, side.touch_arcs);
+            let columns = (loser as u32, winner as u32);
+            side.acc.fold_column(
+                &self.touched_nodes,
+                columns,
+                promote_k,
+                &mut side.merge_capture,
+            );
         }
-
-        let cap = self.cap;
-        // ---- Fold the accumulator columns, capturing (node, old, new)
-        // winner-column values so entry patches can run after the relabel,
-        // in the final id space.
-        let directions: &[bool] = if self.symmetric {
-            &[true]
-        } else {
-            &[true, false]
-        };
-        let mut captures: Vec<Vec<(NodeId, f64, f64)>> = Vec::with_capacity(2);
-        for (dir_idx, &outgoing) in directions.iter().enumerate() {
-            // In-neighbors of the moved members hold the non-zero
-            // out-accumulator entries towards the loser (and vice versa).
-            self.collect_touched(g, &event.moved_nodes, outgoing);
-            let touched = std::mem::take(&mut self.touched_nodes);
-            let mut capture = std::mem::take(if dir_idx == 0 {
-                &mut self.merge_scratch
-            } else {
-                &mut self.merge_scratch_in
-            });
-            capture.clear();
-            if self.sparse_accum {
-                let promote_k = self.promote_k();
-                let rows = if outgoing {
-                    &mut self.sparse_out
-                } else {
-                    &mut self.sparse_in
-                };
-                for &u in &touched {
-                    let row = &mut rows[u as usize];
-                    let lost = row.get(loser as u32);
-                    if lost == 0.0 {
-                        continue;
-                    }
-                    row.add(loser as u32, -lost, promote_k);
-                    let (old, new) = row.add(winner as u32, lost, promote_k);
-                    capture.push((u, old, new));
-                }
-            } else {
-                let acc = if outgoing {
-                    &mut self.dout
-                } else {
-                    &mut self.din
-                };
-                for &u in &touched {
-                    let base = u as usize * cap;
-                    let lost = acc[base + loser];
-                    if lost == 0.0 {
-                        continue;
-                    }
-                    let old = acc[base + winner];
-                    let new = old + lost;
-                    acc[base + winner] = new;
-                    acc[base + loser] = 0.0;
-                    capture.push((u, old, new));
+        // ---- Relabel the ex-last color into the freed loser slot (no-op
+        // when the loser was last), then shrink. Only the relabeled class's
+        // neighbors hold non-zero values in column `last` (the merged-away
+        // loser's column was zeroed by the fold); summary planes and
+        // witness-row caches move wholesale — the same entries, renamed.
+        if loser != last {
+            for side in &mut sides {
+                self.collect_touched(g, p.members(loser as u32), side.touch_arcs);
+                side.acc
+                    .relabel_column(&self.touched_nodes, last as u32, loser as u32);
+                if self.track_summaries {
+                    side.sums.relabel(self.cap, self.k, last, loser);
                 }
             }
-            captures.push(capture);
-            self.touched_nodes = touched;
-        }
-
-        // ---- Relabel the ex-last color into the freed loser slot (no-op
-        // when the loser was last), then shrink.
-        if loser != last {
-            self.relabel_last_color(g, p, loser);
+            if self.track_summaries {
+                self.row_max_err[loser] = self.row_max_err[last];
+                self.row_best[loser] = self.row_best[last];
+                self.row_err_dirty[loser] = self.row_err_dirty[last];
+                self.row_best_dirty[loser] = self.row_best_dirty[last];
+            }
         }
         self.k -= 1;
         let k = self.k;
 
-        // ---- Patch entries over other colors' member axes from the
-        // captured folds, now with partition and engine ids aligned.
-        for (dir_idx, &outgoing) in directions.iter().enumerate() {
-            self.begin_color_batch();
-            let capture = std::mem::take(&mut captures[dir_idx]);
-            for &(u, old, new) in &capture {
-                let i = p.color_of(u) as usize;
-                if i == winner {
-                    continue; // the winner's axis is rebuilt below
-                }
-                let (kind, row, col) = if outgoing {
-                    (EntryKind::OutCol, i, winner)
-                } else {
-                    (EntryKind::InRow, winner, i)
-                };
-                self.patch_entry(kind, row, col, u, old, new, 0.0);
-            }
-            if dir_idx == 0 {
-                self.merge_scratch = capture;
-            } else {
-                self.merge_scratch_in = capture;
-            }
-            self.finalize_merge_side(p, winner, outgoing);
-        }
-
-        // ---- The winner's member axis (rows (winner, ·) and in-entries
-        // (·, winner)) is rebuilt from the merged member list.
-        self.recompute_color_axis(p, winner);
-
-        // ---- Witness bookkeeping: cached bests still name pre-merge
-        // colors — the merged-away loser invalidates and the relabeled
-        // ex-last renames. The winner's size *grew*, which is the reverse
-        // of the split path: with any non-zero β a non-best candidate
-        // targeting the winner can silently overtake an untouched row's
-        // cached best (β > 0: its weight rose; β < 0: the best's own
-        // weight fell), so every row's best goes stale. With β = 0 the
-        // weights are size-independent and the targeted invalidation
-        // suffices.
-        if self.last_beta != 0.0 {
-            self.row_best_dirty[..k].fill(true);
-            for s in 0..k {
-                if let Some(best) = &mut self.row_best[s] {
-                    if best.other as usize == last {
-                        best.other = loser as u32;
+        if self.track_summaries {
+            // ---- Patch entries over other colors' member axes from the
+            // captured folds, now with partition and engine ids aligned.
+            for side in &mut sides {
+                self.batch.begin(winner);
+                for &(u, old, new) in &side.merge_capture {
+                    let i = p.color_of(u);
+                    if i as usize != winner {
+                        // (the winner's axis is rebuilt below)
+                        self.batch.record(&mut side.sums, i, u, old, new, 0.0);
                     }
                 }
+                self.settle_batch(side, p, None);
             }
-        } else {
-            for s in 0..k {
-                if let Some(best) = &mut self.row_best[s] {
-                    if best.other as usize == loser || best.other as usize == winner {
-                        self.row_best_dirty[s] = true;
-                    } else if best.other as usize == last {
-                        best.other = loser as u32;
+        }
+        self.sides = sides;
+
+        if self.track_summaries {
+            // ---- The winner's member axis is rebuilt from the merged
+            // member list.
+            self.recompute_color_axis(p, winner);
+
+            // ---- Witness bookkeeping: cached bests still name pre-merge
+            // colors — the merged-away loser invalidates and the relabeled
+            // ex-last renames. The winner's size *grew*, which is the
+            // reverse of the split path: with any non-zero β a non-best
+            // candidate targeting the winner can silently overtake an
+            // untouched row's cached best (β > 0: its weight rose; β < 0:
+            // the best's own weight fell), so every row's best goes stale.
+            // With β = 0 the weights are size-independent and the targeted
+            // invalidation suffices.
+            if self.last_beta != 0.0 {
+                self.row_best_dirty[..k].fill(true);
+                for s in 0..k {
+                    if let Some(best) = &mut self.row_best[s] {
+                        if best.other as usize == last {
+                            best.other = loser as u32;
+                        }
+                    }
+                }
+            } else {
+                for s in 0..k {
+                    if let Some(best) = &mut self.row_best[s] {
+                        if best.other as usize == loser || best.other as usize == winner {
+                            self.row_best_dirty[s] = true;
+                        } else if best.other as usize == last {
+                            best.other = loser as u32;
+                        }
                     }
                 }
             }
@@ -2647,209 +2909,6 @@ impl IncrementalDegrees {
             Ok(()),
             "incremental merge diverged from scratch recomputation"
         );
-    }
-
-    /// The degrees-only merge path: fold the loser column of every touched
-    /// sparse row into the winner, then relabel the ex-last color.
-    fn apply_merge_degrees_only(&mut self, g: &Graph, p: &Partition, event: &MergeEvent) {
-        let winner = event.winner;
-        let loser = event.loser;
-        let last = (self.k - 1) as u32;
-        let directions: &[bool] = if self.symmetric {
-            &[true]
-        } else {
-            &[true, false]
-        };
-        for &outgoing in directions {
-            self.collect_touched(g, &event.moved_nodes, outgoing);
-            let touched = std::mem::take(&mut self.touched_nodes);
-            for &u in &touched {
-                let row = if outgoing {
-                    &mut self.sparse_out[u as usize]
-                } else {
-                    &mut self.sparse_in[u as usize]
-                };
-                let lost = row.get(loser);
-                if lost != 0.0 {
-                    row.add(loser, -lost, 0);
-                    row.add(winner, lost, 0);
-                }
-            }
-            self.touched_nodes = touched;
-            if loser != last {
-                // Relabel: move the ex-last column into the freed slot for
-                // the (in/out-)neighbors of the relabeled class.
-                self.collect_touched(g, p.members(loser), outgoing);
-                let touched = std::mem::take(&mut self.touched_nodes);
-                for &u in &touched {
-                    let row = if outgoing {
-                        &mut self.sparse_out[u as usize]
-                    } else {
-                        &mut self.sparse_in[u as usize]
-                    };
-                    row.relabel(last, loser);
-                }
-                self.touched_nodes = touched;
-            }
-        }
-        self.k -= 1;
-    }
-
-    /// Move color `last = k - 1`'s engine state into the freed `loser`
-    /// slot: accumulator columns for the relabeled class's neighbors,
-    /// row/column copies in every pair-summary array, and the witness-row
-    /// caches. Values are copied, never recomputed, so the relabel is
-    /// exact. Runs with the *old* `k` still in place.
-    fn relabel_last_color(&mut self, g: &Graph, p: &Partition, loser: usize) {
-        let cap = self.cap;
-        let last = self.k - 1;
-        // Accumulator columns: only the relabeled class's neighbors hold
-        // non-zero values in column `last` (the merged-away loser's column
-        // was zeroed by the fold).
-        let directions: &[bool] = if self.symmetric {
-            &[true]
-        } else {
-            &[true, false]
-        };
-        for &outgoing in directions {
-            self.collect_touched(g, p.members(loser as u32), outgoing);
-            let touched = std::mem::take(&mut self.touched_nodes);
-            if self.sparse_accum {
-                let rows = if outgoing {
-                    &mut self.sparse_out
-                } else {
-                    &mut self.sparse_in
-                };
-                for &u in &touched {
-                    rows[u as usize].relabel(last as u32, loser as u32);
-                }
-            } else {
-                let acc = if outgoing {
-                    &mut self.dout
-                } else {
-                    &mut self.din
-                };
-                for &u in &touched {
-                    let base = u as usize * cap;
-                    acc[base + loser] = acc[base + last];
-                    acc[base + last] = 0.0;
-                }
-            }
-            self.touched_nodes = touched;
-        }
-        // Pair-summary arrays: row and column `last` move to `loser`
-        // (diagonal handled explicitly).
-        let k = self.k;
-        // `from` is always the last live color, so the skip set `{from, to}`
-        // splits the column range into two contiguous runs — the row moves
-        // become two `copy_within` memmoves and the (strided) column moves
-        // two branch-free loops, touching exactly the cells the old
-        // skip-branch loop touched.
-        fn relabel<T: Copy>(m: &mut [T], cap: usize, k: usize, from: usize, to: usize) {
-            debug_assert!(from == k - 1 && to < from);
-            let diag = m[from * cap + from];
-            m.copy_within(from * cap..from * cap + to, to * cap);
-            m.copy_within(from * cap + to + 1..from * cap + from, to * cap + to + 1);
-            for j in 0..to {
-                m[j * cap + to] = m[j * cap + from];
-            }
-            for j in to + 1..from {
-                m[j * cap + to] = m[j * cap + from];
-            }
-            m[to * cap + to] = diag;
-        }
-        relabel(&mut self.out_min, cap, k, last, loser);
-        relabel(&mut self.out_max, cap, k, last, loser);
-        relabel(&mut self.out_min_arg, cap, k, last, loser);
-        relabel(&mut self.out_max_arg, cap, k, last, loser);
-        relabel(&mut self.out_nz, cap, k, last, loser);
-        if !self.symmetric {
-            relabel(&mut self.in_min, cap, k, last, loser);
-            relabel(&mut self.in_max, cap, k, last, loser);
-            relabel(&mut self.in_min_arg, cap, k, last, loser);
-            relabel(&mut self.in_max_arg, cap, k, last, loser);
-            relabel(&mut self.in_nz, cap, k, last, loser);
-        }
-        // Witness-row caches move wholesale (the row's content is the same
-        // set of entries, just renamed).
-        self.row_max_err[loser] = self.row_max_err[last];
-        self.row_best[loser] = self.row_best[last];
-        self.row_err_dirty[loser] = self.row_err_dirty[last];
-        self.row_best_dirty[loser] = self.row_best_dirty[last];
-    }
-
-    /// Finalize one direction of a merge's entry-patch batch: apply the
-    /// queued zero-crossing deltas, decide which flagged extrema need a
-    /// member rescan (same zero-member rule as the split path), run the
-    /// rescans, and dirty the touched witness rows. The merge analogue of
-    /// the split finalize, minus the child-column installation.
-    fn finalize_merge_side(&mut self, p: &Partition, winner: usize, outgoing: bool) {
-        let cap = self.cap;
-        let batch = std::mem::take(&mut self.touched_colors);
-        let mut rescans = if outgoing {
-            std::mem::take(&mut self.entry_scratch_out)
-        } else {
-            std::mem::take(&mut self.entry_scratch_in)
-        };
-        rescans.clear();
-        for t in &batch {
-            let i = t.color as usize;
-            let size = p.size(t.color);
-            let idx = if outgoing {
-                i * cap + winner
-            } else {
-                winner * cap + i
-            };
-            let nz = {
-                let slot = if outgoing {
-                    &mut self.out_nz[idx]
-                } else {
-                    &mut self.in_nz[idx]
-                };
-                *slot = (*slot as i64 + t.nz_delta) as u32;
-                *slot
-            };
-            let (mn, mx) = if outgoing {
-                (self.out_min[idx], self.out_max[idx])
-            } else {
-                (self.in_min[idx], self.in_max[idx])
-            };
-            let zero_member = (nz as usize) < size;
-            let need = (t.rescan_min && !(mn == 0.0 && zero_member))
-                || (t.rescan_max && !(mx == 0.0 && zero_member));
-            if need {
-                if outgoing {
-                    rescans.push((t.color, winner as u32));
-                } else {
-                    rescans.push((winner as u32, t.color));
-                }
-            } else {
-                if t.rescan_min {
-                    if outgoing {
-                        self.out_min_arg[idx] = NO_ARG;
-                    } else {
-                        self.in_min_arg[idx] = NO_ARG;
-                    }
-                }
-                if t.rescan_max {
-                    if outgoing {
-                        self.out_max_arg[idx] = NO_ARG;
-                    } else {
-                        self.in_max_arg[idx] = NO_ARG;
-                    }
-                }
-            }
-            self.row_err_dirty[i] = true;
-            self.row_best_dirty[i] = true;
-        }
-        if outgoing {
-            self.rescan_out_entries(p, &rescans);
-            self.entry_scratch_out = rescans;
-        } else {
-            self.rescan_in_entries(p, &rescans);
-            self.entry_scratch_in = rescans;
-        }
-        self.touched_colors = batch;
     }
 
     /// Grow the node axis for freshly inserted isolated nodes. `p` is the
@@ -2868,17 +2927,8 @@ impl IncrementalDegrees {
         );
         assert_eq!(p.num_colors(), self.k, "inserts cannot change colors");
         let n_new = self.n + colors.len();
-        if self.sparse_accum {
-            self.sparse_out.resize(n_new, RowRep::new());
-            if !self.symmetric {
-                self.sparse_in.resize(n_new, RowRep::new());
-            }
-        } else {
-            let cap = self.cap;
-            self.dout.resize(n_new * cap, 0.0);
-            if !self.symmetric {
-                self.din.resize(n_new * cap, 0.0);
-            }
+        for side in &mut self.sides {
+            side.acc.grow_nodes(n_new);
         }
         self.node_stamp.resize(n_new, 0);
         self.node_delta.resize(n_new, 0.0);
@@ -2887,34 +2937,24 @@ impl IncrementalDegrees {
         if !self.track_summaries {
             return;
         }
-        let cap = self.cap;
         let k = self.k;
         for (i, &c) in colors.iter().enumerate() {
             let v = first + i as NodeId;
             debug_assert_eq!(p.color_of(v), c, "insert color mismatch");
             let c = c as usize;
-            for j in 0..k {
-                // Out-entry (c, j): the new member contributes an explicit
-                // zero towards every color.
-                let idx = c * cap + j;
-                if 0.0 < self.out_min[idx] {
-                    self.out_min[idx] = 0.0;
-                    self.out_min_arg[idx] = v;
-                }
-                if 0.0 > self.out_max[idx] {
-                    self.out_max[idx] = 0.0;
-                    self.out_max_arg[idx] = v;
-                }
-                if !self.symmetric {
-                    // In-entry (j, c) ranges over P_c's members too.
-                    let idx = j * cap + c;
-                    if 0.0 < self.in_min[idx] {
-                        self.in_min[idx] = 0.0;
-                        self.in_min_arg[idx] = v;
+            // Every entry over P_c's member axis gains a member with an
+            // explicit zero value.
+            for side in &mut self.sides {
+                let s = &mut side.sums;
+                for j in 0..k {
+                    let idx = s.idx(c, j);
+                    if 0.0 < s.min[idx] {
+                        s.min[idx] = 0.0;
+                        s.min_arg[idx] = v;
                     }
-                    if 0.0 > self.in_max[idx] {
-                        self.in_max[idx] = 0.0;
-                        self.in_max_arg[idx] = v;
+                    if 0.0 > s.max[idx] {
+                        s.max[idx] = 0.0;
+                        s.max_arg[idx] = v;
                     }
                 }
             }
@@ -2941,8 +2981,8 @@ impl IncrementalDegrees {
     /// compaction produced, and `removed_colors` the colors the removed
     /// nodes belonged to (any order, duplicates fine).
     ///
-    /// Cost: `O(n)` row compaction + `O(k²)` witness remap + a member-axis
-    /// rebuild (`O(|members| · k)`) per affected color.
+    /// Cost: `O(n)` row compaction + `O(k²)` witness remap + `O(k)` exact
+    /// checks and the stale entries' one-column rescans per affected color.
     pub fn apply_node_removals(
         &mut self,
         p: &Partition,
@@ -2956,44 +2996,20 @@ impl IncrementalDegrees {
             "partition out of sync with removals"
         );
         assert_eq!(p.num_colors(), self.k, "removals cannot change colors");
-        let n_old = self.n;
         let n_new = remap.new_len();
-        let cap = self.cap;
         let k = self.k;
-        // The removed nodes' rows are zero only up to rounding: their
-        // edges were deleted one event at a time, and on inexact weights
-        // `(a + b) - a - b` can leave a residue. Record the columns that
-        // kept one, per direction, so the summary repair below rescans
-        // them instead of assuming the departed value was zero.
-        let mut out_residue = vec![false; k];
-        let mut in_residue = vec![false; k];
-        let close_to_zero = |w: f64| w.abs() <= 1e-9 * (1.0 + w.abs());
-        for v in 0..n_old as NodeId {
-            if !remap.is_removed(v) {
-                continue;
-            }
-            for j in 0..k {
-                let w = self.out_degree_of(v, j as u32);
-                debug_assert!(close_to_zero(w), "removed node {v} still has out-weight");
-                out_residue[j] |= w != 0.0;
-                if !self.symmetric {
-                    let w = self.in_degree_of(v, j as u32);
-                    debug_assert!(close_to_zero(w), "removed node {v} still has in-weight");
-                    in_residue[j] |= w != 0.0;
-                }
-            }
-        }
-        if self.sparse_accum {
-            compact_sparse_rows(&mut self.sparse_out, remap);
-            if !self.symmetric {
-                compact_sparse_rows(&mut self.sparse_in, remap);
-            }
-        } else {
-            compact_rows(&mut self.dout, n_old, cap, remap);
-            if !self.symmetric {
-                compact_rows(&mut self.din, n_old, cap, remap);
-            }
-        }
+        // Per side, the columns in which a removed row kept a rounding
+        // residue: the summary repair below rescans them instead of
+        // assuming the departed value was zero.
+        let residues: Vec<Vec<bool>> = self
+            .sides
+            .iter_mut()
+            .map(|side| {
+                let residue = side.acc.removed_residue(remap, k);
+                side.acc.compact(remap);
+                residue
+            })
+            .collect();
         self.node_stamp.clear();
         self.node_stamp.resize(n_new, 0);
         self.node_delta.clear();
@@ -3009,20 +3025,14 @@ impl IncrementalDegrees {
         // Remap the extremum witnesses (attainers of unaffected colors are
         // survivors; attainers inside affected colors are rebuilt below,
         // so a defensive NO_ARG for a removed id is fine either way).
-        for args in [
-            &mut self.out_min_arg,
-            &mut self.out_max_arg,
-            &mut self.in_min_arg,
-            &mut self.in_max_arg,
-        ] {
-            if args.is_empty() {
-                continue;
-            }
-            for i in 0..k {
-                for j in 0..k {
-                    let slot = &mut args[i * cap + j];
-                    if *slot != NO_ARG {
-                        *slot = remap.map(*slot).unwrap_or(NO_ARG);
+        let cap = self.cap;
+        for side in &mut self.sides {
+            for args in [&mut side.sums.min_arg, &mut side.sums.max_arg] {
+                for i in 0..k {
+                    for slot in &mut args[i * cap..i * cap + k] {
+                        if *slot != NO_ARG {
+                            *slot = remap.map(*slot).unwrap_or(NO_ARG);
+                        }
                     }
                 }
             }
@@ -3030,47 +3040,35 @@ impl IncrementalDegrees {
         // Only the colors that lost members can see entry values change,
         // and only in one way: the removed rows were zero outside the
         // residue columns (rescanned outright), so an entry is stale iff a
-        // zero extremum just lost its last zero member (`nz == new size`). Everything else keeps its value — negative
-        // minima / positive maxima are attained by survivors, and a zero
-        // extremum with another zero member stands (its attainer was
-        // remapped to `NO_ARG` above if it was removed). `O(k)` exact
-        // checks per affected color plus a one-column rescan per stale
-        // entry, instead of a full member-axis rebuild.
+        // zero extremum just lost its last zero member (`nz == new size`).
+        // Everything else keeps its value — negative minima / positive
+        // maxima are attained by survivors, and a zero extremum with
+        // another zero member stands (its attainer was remapped to
+        // `NO_ARG` above if it was removed). `O(k)` exact checks per
+        // affected color plus a one-column rescan per stale entry, instead
+        // of a full member-axis rebuild.
         let mut affected: Vec<u32> = removed_colors.to_vec();
         affected.sort_unstable();
         affected.dedup();
-        let mut out_rescans = std::mem::take(&mut self.entry_scratch_out);
-        let mut in_rescans = std::mem::take(&mut self.entry_scratch_in);
-        out_rescans.clear();
-        in_rescans.clear();
-        for &c in &affected {
-            let ci = c as usize;
-            let size = p.size(c);
-            for j in 0..k {
-                let idx = ci * cap + j;
-                if out_residue[j]
-                    || (self.out_nz[idx] as usize) == size
-                        && (self.out_min[idx] == 0.0 || self.out_max[idx] == 0.0)
-                {
-                    out_rescans.push((c, j as u32));
-                }
-                if !self.symmetric {
-                    let idx = j * cap + ci;
-                    if in_residue[j]
-                        || (self.in_nz[idx] as usize) == size
-                            && (self.in_min[idx] == 0.0 || self.in_max[idx] == 0.0)
+        for (side, residue) in self.sides.iter_mut().zip(&residues) {
+            let s = &mut side.sums;
+            for &c in &affected {
+                let size = p.size(c);
+                for (j, &kept) in residue.iter().enumerate() {
+                    let idx = s.idx(c as usize, j);
+                    if kept
+                        || (s.nz[idx] as usize) == size && (s.min[idx] == 0.0 || s.max[idx] == 0.0)
                     {
-                        in_rescans.push((j as u32, c));
+                        s.rescans.push((c, j as u32));
                     }
                 }
             }
-            self.row_err_dirty[ci] = true;
-            self.row_best_dirty[ci] = true;
+            side.flush_rescans(p, &mut self.fold);
         }
-        self.rescan_out_entries(p, &out_rescans);
-        self.rescan_in_entries(p, &in_rescans);
-        self.entry_scratch_out = out_rescans;
-        self.entry_scratch_in = in_rescans;
+        for &c in &affected {
+            self.row_err_dirty[c as usize] = true;
+            self.row_best_dirty[c as usize] = true;
+        }
         if self.last_beta < 0.0 {
             self.row_best_dirty[..k].fill(true);
         } else {
@@ -3082,285 +3080,6 @@ impl IncrementalDegrees {
                 }
             }
         }
-    }
-
-    /// Apply one direction of a split to the accumulators and pair
-    /// summaries: shift every touched node's mass from the parent to the
-    /// child column, patch the entries over *other* colors' member axes,
-    /// then finalize the batch (child-column entries, lost-extremum
-    /// rescans, witness-row invalidation). `collect_touched` must have run
-    /// for the matching direction.
-    fn apply_side(&mut self, p: &Partition, c: usize, child: usize, outgoing: bool) {
-        let touched = std::mem::take(&mut self.touched_nodes);
-        let deltas = std::mem::take(&mut self.touched_deltas);
-        self.begin_color_batch();
-        let cap = self.cap;
-        // The touched rows land all over a multi-megabyte accumulator in
-        // an order the hardware prefetcher cannot predict, so the loop
-        // prefetches its own future rows. The distance covers the latency
-        // of one row's patch work; the hint never changes results.
-        const PREFETCH_AHEAD: usize = 16;
-        let colors = p.assignment();
-        let promote_k = self.promote_k();
-        for (pos, (&u, &d)) in touched.iter().zip(deltas.iter()).enumerate() {
-            if let Some(&w) = touched.get(pos + PREFETCH_AHEAD) {
-                kernels::prefetch_read(colors, w as usize);
-            }
-            let base = u as usize * cap;
-            let (old, new, child_val) = if self.sparse_accum {
-                let rows = if outgoing {
-                    &mut self.sparse_out
-                } else {
-                    &mut self.sparse_in
-                };
-                // Same two-stage pipeline as the sparse gather kernels:
-                // the row struct well ahead, its heap payload closer in
-                // (hints only — results are unaffected).
-                if let Some(&w) = touched.get(pos + PREFETCH_AHEAD) {
-                    kernels::prefetch_read(rows.as_slice(), w as usize);
-                }
-                if let Some(&w) = touched.get(pos + PREFETCH_AHEAD / 2) {
-                    kernels::prefetch_row_payload(&rows[w as usize], c as u32);
-                }
-                let row = &mut rows[u as usize];
-                row.split_shift(c as u32, child as u32, d, promote_k)
-            } else {
-                let acc = if outgoing {
-                    &mut self.dout
-                } else {
-                    &mut self.din
-                };
-                if let Some(&w) = touched.get(pos + PREFETCH_AHEAD) {
-                    let wbase = w as usize * cap;
-                    kernels::prefetch_read(acc, wbase + c);
-                    kernels::prefetch_read(acc, wbase + child);
-                }
-                let old = acc[base + c];
-                let new = old - d;
-                acc[base + c] = new;
-                acc[base + child] += d;
-                (old, new, acc[base + child])
-            };
-            let i = p.color_of(u) as usize;
-            if i == c || i == child {
-                continue; // both color axes are rebuilt afterwards
-            }
-            let (kind, row, col) = if outgoing {
-                (EntryKind::OutCol, i, c)
-            } else {
-                (EntryKind::InRow, c, i)
-            };
-            self.patch_entry(kind, row, col, u, old, new, child_val);
-        }
-
-        // ---- Finalize the batch: per touched color, install the child
-        // column entry, queue a rescan if the parent-column entry lost its
-        // extremum, and invalidate the witness row.
-        let batch = std::mem::take(&mut self.touched_colors);
-        let mut rescans = if outgoing {
-            std::mem::take(&mut self.entry_scratch_out)
-        } else {
-            std::mem::take(&mut self.entry_scratch_in)
-        };
-        rescans.clear();
-        for t in &batch {
-            let i = t.color as usize;
-            let size = p.size(t.color);
-            // Parent-column entry: apply the zero-crossing count delta,
-            // then decide whether a flagged extremum actually needs a
-            // rescan — a zero extremum provably stands while the entry
-            // keeps a zero-valued member.
-            let parent_idx = if outgoing { i * cap + c } else { c * cap + i };
-            let nz = {
-                let slot = if outgoing {
-                    &mut self.out_nz[parent_idx]
-                } else {
-                    &mut self.in_nz[parent_idx]
-                };
-                *slot = (*slot as i64 + t.nz_delta) as u32;
-                *slot
-            };
-            let (pmin, pmax) = if outgoing {
-                (self.out_min[parent_idx], self.out_max[parent_idx])
-            } else {
-                (self.in_min[parent_idx], self.in_max[parent_idx])
-            };
-            let zero_member = (nz as usize) < size;
-            let need_rescan = (t.rescan_min && !(pmin == 0.0 && zero_member))
-                || (t.rescan_max && !(pmax == 0.0 && zero_member));
-            if need_rescan {
-                if outgoing {
-                    rescans.push((t.color, c as u32));
-                } else {
-                    rescans.push((c as u32, t.color));
-                }
-            } else {
-                // A flagged side whose zero extremum provably stands keeps
-                // its value but no longer knows a specific attainer.
-                if t.rescan_min {
-                    if outgoing {
-                        self.out_min_arg[parent_idx] = NO_ARG;
-                    } else {
-                        self.in_min_arg[parent_idx] = NO_ARG;
-                    }
-                }
-                if t.rescan_max {
-                    if outgoing {
-                        self.out_max_arg[parent_idx] = NO_ARG;
-                    } else {
-                        self.in_max_arg[parent_idx] = NO_ARG;
-                    }
-                }
-            }
-            let (mut mn, mut mx) = (t.child_min, t.child_max);
-            let (mut amn, mut amx) = (t.child_min_arg, t.child_max_arg);
-            if t.count < size {
-                // Some member of the color has no edges towards the child:
-                // an (unknown) attainer of weight zero.
-                if mn > 0.0 {
-                    mn = 0.0;
-                    amn = NO_ARG;
-                }
-                if mx < 0.0 {
-                    mx = 0.0;
-                    amx = NO_ARG;
-                }
-            }
-            if outgoing {
-                let idx = i * cap + child;
-                self.out_min[idx] = mn;
-                self.out_max[idx] = mx;
-                self.out_min_arg[idx] = amn;
-                self.out_max_arg[idx] = amx;
-                self.out_nz[idx] = t.child_nonzero;
-            } else {
-                let idx = child * cap + i;
-                self.in_min[idx] = mn;
-                self.in_max[idx] = mx;
-                self.in_min_arg[idx] = amn;
-                self.in_max_arg[idx] = amx;
-                self.in_nz[idx] = t.child_nonzero;
-            }
-            self.row_err_dirty[i] = true;
-            self.row_best_dirty[i] = true;
-        }
-        if outgoing {
-            self.rescan_out_entries(p, &rescans);
-            self.entry_scratch_out = rescans;
-        } else {
-            self.rescan_in_entries(p, &rescans);
-            self.entry_scratch_in = rescans;
-        }
-        self.touched_colors = batch;
-        self.touched_nodes = touched;
-        self.touched_deltas = deltas;
-    }
-
-    /// Rebuild the parent's member-axis entries after a split: out-entries
-    /// `(c, j)` and in-entries `(j, c)`. Columns `c`/`child` saw their
-    /// accumulator values change and are always rescanned; for every other
-    /// column the values are untouched and membership only shrank, so the
-    /// old extremum stands unless its tracked attainer departed to the
-    /// child (with unknown attainers falling back to the conservative
-    /// "child attained the parent's extremum" heuristic). Cost: `O(k)`
-    /// exact checks plus `O(|parent|)` per column that actually lost an
-    /// extremum.
-    fn recompute_parent_axis(&mut self, p: &Partition, c: usize, child: usize) {
-        let cap = self.cap;
-        let parent_size = p.size(c as u32);
-        let mut out_rescans = std::mem::take(&mut self.entry_scratch_out);
-        let mut in_rescans = std::mem::take(&mut self.entry_scratch_in);
-        out_rescans.clear();
-        in_rescans.clear();
-        // Whether one side of an entry lost its extremum: a zero extremum
-        // stands while the entry keeps a zero-valued member (count rule,
-        // checked first — the attainer may then be forgotten); otherwise
-        // the tracked attainer must not have departed to the child, with
-        // unknown attainers falling back to the conservative "child
-        // attained it" heuristic. Returns (lost, forget_arg).
-        let side_lost = |value: f64, zero_member: bool, arg: u32, fallback: bool| -> (bool, bool) {
-            if value == 0.0 && zero_member {
-                (false, arg != NO_ARG && p.color_of(arg) != c as u32)
-            } else if arg == NO_ARG {
-                (fallback, false)
-            } else {
-                (p.color_of(arg) != c as u32, false)
-            }
-        };
-        for j in 0..self.k {
-            if j == c || j == child {
-                out_rescans.push((c as u32, j as u32));
-                if !self.symmetric {
-                    // In-entry over the parent's member axis with the
-                    // changed column as first index: (c, c) for j == c,
-                    // (child, c) for j == child.
-                    in_rescans.push((j as u32, c as u32));
-                }
-                continue;
-            }
-            // The parent's nonzero count over an unchanged column is the
-            // old count minus what the child took (the child axis was
-            // rebuilt just before this).
-            let out_idx = c * cap + j;
-            let out_child = child * cap + j;
-            self.out_nz[out_idx] -= self.out_nz[out_child];
-            let zero_member = (self.out_nz[out_idx] as usize) < parent_size;
-            let (min_lost, min_forget) = side_lost(
-                self.out_min[out_idx],
-                zero_member,
-                self.out_min_arg[out_idx],
-                self.out_min[out_child] == self.out_min[out_idx],
-            );
-            let (max_lost, max_forget) = side_lost(
-                self.out_max[out_idx],
-                zero_member,
-                self.out_max_arg[out_idx],
-                self.out_max[out_child] == self.out_max[out_idx],
-            );
-            if min_lost || max_lost {
-                out_rescans.push((c as u32, j as u32));
-            } else {
-                if min_forget {
-                    self.out_min_arg[out_idx] = NO_ARG;
-                }
-                if max_forget {
-                    self.out_max_arg[out_idx] = NO_ARG;
-                }
-            }
-            if self.symmetric {
-                continue;
-            }
-            let in_idx = j * cap + c;
-            let in_child = j * cap + child;
-            self.in_nz[in_idx] -= self.in_nz[in_child];
-            let zero_member = (self.in_nz[in_idx] as usize) < parent_size;
-            let (min_lost, min_forget) = side_lost(
-                self.in_min[in_idx],
-                zero_member,
-                self.in_min_arg[in_idx],
-                self.in_min[in_child] == self.in_min[in_idx],
-            );
-            let (max_lost, max_forget) = side_lost(
-                self.in_max[in_idx],
-                zero_member,
-                self.in_max_arg[in_idx],
-                self.in_max[in_child] == self.in_max[in_idx],
-            );
-            if min_lost || max_lost {
-                in_rescans.push((j as u32, c as u32));
-            } else {
-                if min_forget {
-                    self.in_min_arg[in_idx] = NO_ARG;
-                }
-                if max_forget {
-                    self.in_max_arg[in_idx] = NO_ARG;
-                }
-            }
-        }
-        self.rescan_out_entries(p, &out_rescans);
-        self.rescan_in_entries(p, &in_rescans);
-        self.entry_scratch_out = out_rescans;
-        self.entry_scratch_in = in_rescans;
     }
 
     /// Recompute the stale witness rows. `beta` is the target-size exponent
@@ -3378,15 +3097,7 @@ impl IncrementalDegrees {
             self.row_best_dirty[..self.k].fill(true);
             self.last_beta = beta;
         }
-        let view = SummaryView {
-            k: self.k,
-            cap: self.cap,
-            symmetric: self.symmetric,
-            out_min: &self.out_min,
-            out_max: &self.out_max,
-            in_min: &self.in_min,
-            in_max: &self.in_max,
-        };
+        let view = SummaryView::of(&self.sides, self.k);
         for s in 0..self.k {
             if !(self.row_err_dirty[s] || self.row_best_dirty[s]) {
                 continue;
@@ -3502,116 +3213,71 @@ impl IncrementalDegrees {
     /// description of the first mismatch. Intended for tests and the debug
     /// assertion inside [`Self::apply_split`].
     pub fn verify_against(&self, g: &Graph, p: &Partition) -> Result<(), String> {
-        if p.num_colors() != self.k {
-            return Err(format!(
-                "color count {} != engine {}",
-                p.num_colors(),
-                self.k
-            ));
+        let k = self.k;
+        if p.num_colors() != k {
+            return Err(format!("color count {} != engine {k}", p.num_colors()));
         }
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()));
         if self.track_summaries {
             let scratch = DegreeMatrices::compute(g, p);
-            for i in 0..self.k {
-                for j in 0..self.k {
-                    let idx = i * self.cap + j;
-                    let sidx = i * self.k + j;
-                    let (in_min_ours, in_max_ours) = if self.symmetric {
-                        (
-                            self.out_min[j * self.cap + i],
-                            self.out_max[j * self.cap + i],
-                        )
-                    } else {
-                        (self.in_min[idx], self.in_max[idx])
-                    };
-                    for (name, ours, theirs) in [
-                        ("out_min", self.out_min[idx], scratch.out_min[sidx]),
-                        ("out_max", self.out_max[idx], scratch.out_max[sidx]),
-                        ("in_min", in_min_ours, scratch.in_min[sidx]),
-                        ("in_max", in_max_ours, scratch.in_max[sidx]),
+            let view = SummaryView::of(&self.sides, k);
+            for i in 0..k {
+                for j in 0..k {
+                    for (dir, ours, theirs) in [
+                        ("out", view.out_mm(i, j), scratch.out_mm(i, j)),
+                        ("in", view.in_mm(i, j), scratch.in_mm(i, j)),
                     ] {
-                        if !close(ours, theirs) {
-                            return Err(format!(
-                                "{name}[{i}][{j}]: incremental {ours} vs scratch {theirs}"
-                            ));
-                        }
-                    }
-                    // Tracked extremum witnesses, when known, must attain
-                    // their entry's value and belong to the member axis
-                    // (read through the storage-routed accessors, so the
-                    // check covers both dense matrices and tiered rows).
-                    for (name, arg, val) in [
-                        ("out_min_arg", self.out_min_arg[idx], self.out_min[idx]),
-                        ("out_max_arg", self.out_max_arg[idx], self.out_max[idx]),
-                    ] {
-                        if arg != NO_ARG {
-                            let attained = self.out_degree_of(arg, j as u32);
-                            if p.color_of(arg) as usize != i || attained != val {
+                        for (name, ours, theirs) in
+                            [("min", ours.0, theirs.0), ("max", ours.1, theirs.1)]
+                        {
+                            if !close(ours, theirs) {
                                 return Err(format!(
-                                    "{name}[{i}][{j}]: witness {arg} (color {}, value {attained}) does not attain {val}",
-                                    p.color_of(arg)
+                                    "{dir}_{name}[{i}][{j}]: incremental {ours} vs scratch {theirs}"
                                 ));
                             }
                         }
                     }
-                    if !self.symmetric {
-                        for (name, arg, val) in [
-                            ("in_min_arg", self.in_min_arg[idx], self.in_min[idx]),
-                            ("in_max_arg", self.in_max_arg[idx], self.in_max[idx]),
-                        ] {
-                            if arg != NO_ARG {
-                                let attained = self.in_degree_of(arg, i as u32);
-                                if p.color_of(arg) as usize != j || attained != val {
-                                    return Err(format!(
-                                        "{name}[{i}][{j}]: witness {arg} (color {}, value {attained}) does not attain {val}",
-                                        p.color_of(arg)
-                                    ));
-                                }
-                            }
-                        }
-                    }
                 }
             }
-        }
-        if self.track_summaries {
-            // Nonzero-member counts, recounted from the maintained
-            // accumulators (which are themselves verified below). Note
-            // these deliberately count maintained *values*: with inexact
+            // Per stored side: tracked extremum witnesses, when known, must
+            // attain their entry's value and belong to the member axis, and
+            // the nonzero-member counts must match a recount from the
+            // maintained accumulators (themselves verified below). The
+            // counts deliberately count maintained *values*: with inexact
             // weights an incremental subtraction can leave a tiny residue
-            // where a fresh sum gives an exact zero, and the zero-skip
-            // rule is sound for exactly this value-based count.
-            for i in 0..self.k {
-                let mut counts = vec![0u32; self.k];
-                for &u in p.members(i as u32) {
-                    for (j, count) in counts.iter_mut().enumerate() {
-                        *count += u32::from(self.out_degree_of(u, j as u32) != 0.0);
-                    }
-                }
-                for (j, &count) in counts.iter().enumerate() {
-                    if self.out_nz[i * self.cap + j] != count {
-                        return Err(format!(
-                            "out_nz[{i}][{j}]: incremental {} vs recounted {}",
-                            self.out_nz[i * self.cap + j],
-                            count
-                        ));
-                    }
-                }
-            }
-            if !self.symmetric {
-                for j in 0..self.k {
-                    let mut counts = vec![0u32; self.k];
-                    for &v in p.members(j as u32) {
-                        for (i, count) in counts.iter_mut().enumerate() {
-                            *count += u32::from(self.in_degree_of(v, i as u32) != 0.0);
+            // where a fresh sum gives an exact zero, and the zero-skip rule
+            // is sound for exactly this value-based count.
+            for (side, dir) in self.sides.iter().zip(["out", "in"]) {
+                let s = &side.sums;
+                for member in 0..k {
+                    let mut counts = vec![0u32; k];
+                    for &u in p.members(member as u32) {
+                        for (other, count) in counts.iter_mut().enumerate() {
+                            *count += u32::from(side.acc.get(u, other as u32) != 0.0);
                         }
                     }
-                    for (i, &count) in counts.iter().enumerate() {
-                        if self.in_nz[i * self.cap + j] != count {
+                    for (other, &count) in counts.iter().enumerate() {
+                        let idx = s.idx(member, other);
+                        if s.nz[idx] != count {
                             return Err(format!(
-                                "in_nz[{i}][{j}]: incremental {} vs recounted {}",
-                                self.in_nz[i * self.cap + j],
-                                count
+                                "{dir}_nz[member {member}][other {other}]: incremental {} vs recounted {count}",
+                                s.nz[idx]
                             ));
+                        }
+                        for (name, arg, val) in [
+                            ("min_arg", s.min_arg[idx], s.min[idx]),
+                            ("max_arg", s.max_arg[idx], s.max[idx]),
+                        ] {
+                            if arg == NO_ARG {
+                                continue;
+                            }
+                            let attained = side.acc.get(arg, other as u32);
+                            if p.color_of(arg) as usize != member || attained != val {
+                                return Err(format!(
+                                    "{dir}_{name}[member {member}][other {other}]: witness {arg} (color {}, value {attained}) does not attain {val}",
+                                    p.color_of(arg)
+                                ));
+                            }
                         }
                     }
                 }
@@ -3619,7 +3285,7 @@ impl IncrementalDegrees {
         }
         // Accumulators, recomputed fresh.
         for v in 0..self.n as NodeId {
-            let mut fresh = vec![0.0f64; self.k];
+            let mut fresh = vec![0.0f64; k];
             for (t, w) in g.out_edges(v) {
                 fresh[p.color_of(t) as usize] += w;
             }
@@ -3632,7 +3298,7 @@ impl IncrementalDegrees {
                     ));
                 }
             }
-            let mut fresh = vec![0.0f64; self.k];
+            let mut fresh = vec![0.0f64; k];
             for (s, w) in g.in_edges(v) {
                 fresh[p.color_of(s) as usize] += w;
             }
@@ -3651,102 +3317,24 @@ impl IncrementalDegrees {
 
     // ---- internals ----
 
-    /// Rebuild every pair summary indexed along color `s`'s member axis:
-    /// out-entries `(s, j)` and in-entries `(j, s)` for all `j`, by scanning
-    /// the accumulator rows of `P_s`'s members. `O(|P_s| · k)`.
+    /// Rebuild every pair summary indexed along color `s`'s member axis —
+    /// out-entries `(s, j)` and in-entries `(j, s)` for all `j` — by
+    /// folding the accumulator rows of `P_s`'s members. `O(|P_s| · k)`.
     fn recompute_color_axis(&mut self, p: &Partition, s: usize) {
         let k = self.k;
-        let cap = self.cap;
-        let (omin, rest) = self.row_scratch.split_at_mut(cap);
-        let (omax, rest) = rest.split_at_mut(cap);
-        let (imin, imax) = rest.split_at_mut(cap);
-        let (aomin, arest) = self.row_arg_scratch.split_at_mut(cap);
-        let (aomax, arest) = arest.split_at_mut(cap);
-        let (aimin, aimax) = arest.split_at_mut(cap);
-        let (onz, inz) = self.row_nz_scratch.split_at_mut(cap);
-        omin[..k].fill(f64::INFINITY);
-        omax[..k].fill(f64::NEG_INFINITY);
-        imin[..k].fill(f64::INFINITY);
-        imax[..k].fill(f64::NEG_INFINITY);
-        aomin[..k].fill(NO_ARG);
-        aomax[..k].fill(NO_ARG);
-        aimin[..k].fill(NO_ARG);
-        aimax[..k].fill(NO_ARG);
-        onz[..k].fill(0);
-        inz[..k].fill(0);
-        // One member loop for both modes: the dense out scan and (directed
-        // only) the in scan route through the same vectorized row kernel —
-        // exactly the scalar member-order scan, bit for bit (see
-        // `kernels::fold_minmax_row`). Sparse-storage engines fold only the
-        // stored (nonzero) entries per member and account for the implicit
-        // zeros afterwards with one `fold_zero_tail` pass: any column some
-        // member misses folds a 0.0 with the `NO_ARG` witness. The min/max
-        // *values* equal the dense scan's exactly; only the zero-extremum
-        // attainers differ (NO_ARG instead of the first zero-valued member),
-        // which is unobservable — attainers gate rescans, never values, and
-        // NO_ARG forces the conservative rescan.
-        if self.sparse_accum {
-            let members = p.members(s as u32);
-            for &u in members {
-                let row = &self.sparse_out[u as usize];
-                kernels::fold_minmax_sparse_row(u, row, k, omin, omax, aomin, aomax, onz);
-                if !self.symmetric {
-                    let row = &self.sparse_in[u as usize];
-                    kernels::fold_minmax_sparse_row(u, row, k, imin, imax, aimin, aimax, inz);
-                }
-            }
-            let count = members.len() as u32;
-            kernels::fold_zero_tail(count, k, omin, omax, aomin, aomax, onz);
-            if !self.symmetric {
-                kernels::fold_zero_tail(count, k, imin, imax, aimin, aimax, inz);
-            }
-        } else {
-            for &u in p.members(s as u32) {
-                let base = u as usize * cap;
-                kernels::fold_minmax_row(
-                    u,
-                    &self.dout[base..base + k],
-                    omin,
-                    omax,
-                    aomin,
-                    aomax,
-                    onz,
-                );
-                if !self.symmetric {
-                    kernels::fold_minmax_row(
-                        u,
-                        &self.din[base..base + k],
-                        imin,
-                        imax,
-                        aimin,
-                        aimax,
-                        inz,
-                    );
-                }
-            }
-        }
-        for j in 0..k {
-            self.out_min[s * cap + j] = omin[j];
-            self.out_max[s * cap + j] = omax[j];
-            self.out_min_arg[s * cap + j] = aomin[j];
-            self.out_max_arg[s * cap + j] = aomax[j];
-            self.out_nz[s * cap + j] = onz[j];
-        }
-        if !self.symmetric {
+        let members = p.members(s as u32);
+        for side in &mut self.sides {
+            side.acc.fold_members(members, k, &mut self.fold);
             for j in 0..k {
-                self.in_min[j * cap + s] = imin[j];
-                self.in_max[j * cap + s] = imax[j];
-                self.in_min_arg[j * cap + s] = aimin[j];
-                self.in_max_arg[j * cap + s] = aimax[j];
-                self.in_nz[j * cap + s] = inz[j];
+                let idx = side.sums.idx(s, j);
+                side.sums.store(idx, &self.fold, j);
             }
         }
         self.row_err_dirty[s] = true;
         self.row_best_dirty[s] = true;
     }
 
-    /// Collect the distinct neighbors of `moved` (sources of their in-edges
-    /// when `incoming`, targets of their out-edges otherwise) into
+    /// Collect the distinct neighbors of `moved` along `arcs` into
     /// `touched_nodes`, accumulating per-neighbor weight deltas in the
     /// index-parallel `touched_deltas` (so consumers read them
     /// positionally, without a per-node gather).
@@ -3764,47 +3352,28 @@ impl IncrementalDegrees {
     /// checkpoint restore) groups the same way. Below the threshold a single
     /// sequential scan runs, which is the one-chunk case of the same
     /// grouping.
-    fn collect_touched(&mut self, g: &Graph, moved: &[NodeId], incoming: bool) {
+    fn collect_touched(&mut self, g: &Graph, moved: &[NodeId], arcs: Arcs) {
         // Mapped graphs: start faulting the moved nodes' arc span in now,
         // so the batched scan below overlaps page-in with compute (no-op
         // for owned graphs).
         g.advise_arcs_will_need(moved);
         if moved.len() < TOUCHED_CHUNK {
-            self.mark_gen = self.mark_gen.wrapping_add(1);
-            if self.mark_gen == 0 {
-                self.node_mark.fill(0);
-                self.mark_gen = 1;
-            }
-            let gen = self.mark_gen;
+            let gen = self.next_mark_gen();
             self.touched_nodes.clear();
             self.touched_deltas.clear();
             for &v in moved {
-                let (nbrs, wts) = if incoming {
-                    g.in_arcs(v)
-                } else {
-                    g.out_arcs(v)
-                };
-                for (idx, &u) in nbrs.iter().enumerate() {
-                    let m = self.node_mark[u as usize];
-                    if m as u32 != gen {
-                        self.node_mark[u as usize] =
-                            gen as u64 | ((self.touched_nodes.len() as u64) << 32);
-                        self.touched_nodes.push(u);
-                        self.touched_deltas.push(wts[idx]);
-                    } else {
-                        self.touched_deltas[(m >> 32) as usize] += wts[idx];
-                    }
+                let (nbrs, wts) = arcs(g, v);
+                for (&u, &w) in nbrs.iter().zip(wts) {
+                    self.touch(gen, u, w);
                 }
             }
             return;
         }
-        self.collect_touched_chunked(g, moved, incoming);
-    }
-
-    /// The chunked half of [`Self::collect_touched`]: scan each chunk into
-    /// its own `(node, delta)` list, then merge the lists in chunk order
-    /// (see the entry point for the determinism argument).
-    fn collect_touched_chunked(&mut self, g: &Graph, moved: &[NodeId], incoming: bool) {
+        // Chunked: scan each chunk into its own `(node, delta)` list, then
+        // merge the lists in chunk order — global first-appearance dedupe,
+        // chunk-local partials added in chunk order. (The chunk scans use
+        // node_stamp/node_delta as scratch; `node_mark` runs on its own
+        // generation counter.)
         let chunks = moved.len().div_ceil(TOUCHED_CHUNK);
         let mut outputs = std::mem::take(&mut self.chunk_out);
         if outputs.len() < chunks {
@@ -3814,317 +3383,46 @@ impl IncrementalDegrees {
             scan_chunk(
                 g,
                 chunk,
-                incoming,
+                arcs,
                 &mut self.node_stamp,
                 &mut self.stamp_gen,
                 &mut self.node_delta,
                 list,
             );
         }
-        // Merge in chunk order: global first-appearance dedupe over the
-        // chunk lists, chunk-local partials added in chunk order. (The
-        // chunk scans above use node_stamp/node_delta as scratch;
-        // `node_mark` runs on its own generation counter.)
-        self.mark_gen = self.mark_gen.wrapping_add(1);
-        if self.mark_gen == 0 {
-            self.node_mark.fill(0);
-            self.mark_gen = 1;
-        }
-        let gen = self.mark_gen;
+        let gen = self.next_mark_gen();
         self.touched_nodes.clear();
         self.touched_deltas.clear();
         for list in &outputs[..chunks] {
             for &(u, d) in list {
-                let m = self.node_mark[u as usize];
-                if m as u32 != gen {
-                    self.node_mark[u as usize] =
-                        gen as u64 | ((self.touched_nodes.len() as u64) << 32);
-                    self.touched_nodes.push(u);
-                    self.touched_deltas.push(d);
-                } else {
-                    self.touched_deltas[(m >> 32) as usize] += d;
-                }
+                self.touch(gen, u, d);
             }
         }
         self.chunk_out = outputs;
     }
 
-    fn begin_color_batch(&mut self) {
-        // Slot lookups self-validate (a stored index is live only if the
-        // record at that index names the same color), so clearing the
-        // record list is all the reset a new batch needs.
-        self.touched_colors.clear();
+    /// Advance the touched-collection generation (clearing the marks when
+    /// the counter wraps).
+    fn next_mark_gen(&mut self) -> u32 {
+        self.mark_gen = self.mark_gen.wrapping_add(1);
+        if self.mark_gen == 0 {
+            self.node_mark.fill(0);
+            self.mark_gen = 1;
+        }
+        self.mark_gen
     }
 
-    /// Patch one pair summary entry for a touched node `u` whose
-    /// accumulator moved from `old` to `new`, and record the node's
-    /// `child`-column value for the batch finalization. `row`/`col` index
-    /// the entry in the affected matrix (`EntryKind` chooses which); the
-    /// *batched* color is the one whose member axis the entry ranges over.
-    #[allow(clippy::too_many_arguments)]
-    fn patch_entry(
-        &mut self,
-        kind: EntryKind,
-        row: usize,
-        col: usize,
-        u: NodeId,
-        old: f64,
-        new: f64,
-        child_val: f64,
-    ) {
-        let idx = row * self.cap + col;
-        let (cur_min, cur_max, arg_min, arg_max) = match kind {
-            EntryKind::OutCol => (
-                self.out_min[idx],
-                self.out_max[idx],
-                self.out_min_arg[idx],
-                self.out_max_arg[idx],
-            ),
-            EntryKind::InRow => (
-                self.in_min[idx],
-                self.in_max[idx],
-                self.in_min_arg[idx],
-                self.in_max_arg[idx],
-            ),
-        };
-        let batched_color = match kind {
-            EntryKind::OutCol => row as u32,
-            EntryKind::InRow => col as u32,
-        };
-        let slot = self.color_slot[batched_color as usize] as usize;
-        let slot = if slot < self.touched_colors.len()
-            && self.touched_colors[slot].color == batched_color
-        {
-            slot
+    /// Add `delta` to `u`'s touched delta, appending `u` on its first touch
+    /// this generation.
+    #[inline]
+    fn touch(&mut self, gen: u32, u: NodeId, delta: f64) {
+        let m = self.node_mark[u as usize];
+        if m as u32 != gen {
+            self.node_mark[u as usize] = gen as u64 | ((self.touched_nodes.len() as u64) << 32);
+            self.touched_nodes.push(u);
+            self.touched_deltas.push(delta);
         } else {
-            let fresh = self.touched_colors.len();
-            self.color_slot[batched_color as usize] = fresh as u32;
-            self.touched_colors
-                .push(TouchedColor::fresh(batched_color, cur_min, cur_max));
-            fresh
-        };
-        let record = &mut self.touched_colors[slot];
-        // The entry loses its extremum only when its *tracked attainer*
-        // moves strictly inward (an exact test — ties at the extremum no
-        // longer force a rescan); an unknown attainer falls back to the
-        // conservative batch-start-extremum heuristic. The finalize step
-        // may still cancel a flagged side via the zero-count rule.
-        if new < old {
-            if old == record.orig_max && (arg_max == NO_ARG || arg_max == u) {
-                record.rescan_max = true;
-            }
-        } else if new > old && old == record.orig_min && (arg_min == NO_ARG || arg_min == u) {
-            record.rescan_min = true;
-        }
-        record.count += 1;
-        if (old == 0.0) != (new == 0.0) {
-            record.nz_delta += if new != 0.0 { 1 } else { -1 };
-        }
-        if child_val != 0.0 {
-            record.child_nonzero += 1;
-        }
-        if child_val < record.child_min {
-            record.child_min = child_val;
-            record.child_min_arg = u;
-        }
-        if child_val > record.child_max {
-            record.child_max = child_val;
-            record.child_max_arg = u;
-        }
-        let (emn, emx, amn, amx) = match kind {
-            EntryKind::OutCol => (
-                &mut self.out_min[idx],
-                &mut self.out_max[idx],
-                &mut self.out_min_arg[idx],
-                &mut self.out_max_arg[idx],
-            ),
-            EntryKind::InRow => (
-                &mut self.in_min[idx],
-                &mut self.in_max[idx],
-                &mut self.in_min_arg[idx],
-                &mut self.in_max_arg[idx],
-            ),
-        };
-        if new < *emn {
-            *emn = new;
-            *amn = u;
-        }
-        if new > *emx {
-            *emx = new;
-            *amx = u;
-        }
-    }
-
-    /// One-entry column scan routed by storage: the dense strided gather or
-    /// the tiered-row probe fold — same member order, same strict compares,
-    /// same first-attainer rule, so values *and* witnesses agree between the
-    /// two (an absent sparse entry reads the same `+0.0` the dense row
-    /// stores).
-    fn scan_col(
-        &self,
-        outgoing: bool,
-        members: &[NodeId],
-        col: usize,
-    ) -> (f64, f64, u32, u32, u32) {
-        if self.sparse_accum {
-            let rows = if outgoing || self.symmetric {
-                &self.sparse_out
-            } else {
-                &self.sparse_in
-            };
-            kernels::scan_gather_column_sparse(members, rows, col as u32)
-        } else {
-            let acc = if outgoing { &self.dout } else { &self.din };
-            scan_entry_column(members, acc, self.cap, col)
-        }
-    }
-
-    /// Recompute out-entry `(i, j)` from `P_i`'s members (values and
-    /// extremum witnesses; first attainer in member order wins ties).
-    fn rescan_out_entry(&mut self, p: &Partition, i: usize, j: usize) {
-        let cap = self.cap;
-        let (mn, mx, amn, amx, nz) = self.scan_col(true, p.members(i as u32), j);
-        self.out_min[i * cap + j] = mn;
-        self.out_max[i * cap + j] = mx;
-        self.out_min_arg[i * cap + j] = amn;
-        self.out_max_arg[i * cap + j] = amx;
-        self.out_nz[i * cap + j] = nz;
-    }
-
-    /// Recompute in-entry `(i, j)` from `P_j`'s members.
-    fn rescan_in_entry(&mut self, p: &Partition, i: usize, j: usize) {
-        let cap = self.cap;
-        let (mn, mx, amn, amx, nz) = self.scan_col(false, p.members(j as u32), i);
-        self.in_min[i * cap + j] = mn;
-        self.in_max[i * cap + j] = mx;
-        self.in_min_arg[i * cap + j] = amn;
-        self.in_max_arg[i * cap + j] = amx;
-        self.in_nz[i * cap + j] = nz;
-    }
-
-    /// Recompute a batch of out-entries `(i, j)` (each scanning `P_i`).
-    fn rescan_out_entries(&mut self, p: &Partition, entries: &[(u32, u32)]) {
-        // Entries sharing one member axis (the parent-axis repair batch
-        // always does) fold in a single member pass — each accumulator row
-        // is loaded once for every queued column. Per column this is the
-        // same member-order fold, bit for bit.
-        if entries.len() >= 2 && entries.iter().all(|&(i, _)| i == entries[0].0) {
-            self.rescan_out_row_grouped(p, entries);
-            return;
-        }
-        for &(i, j) in entries {
-            self.rescan_out_entry(p, i as usize, j as usize);
-        }
-    }
-
-    /// Recompute a batch of in-entries `(i, j)` (each scanning `P_j`); the
-    /// in-direction mirror of [`Self::rescan_out_entries`].
-    fn rescan_in_entries(&mut self, p: &Partition, entries: &[(u32, u32)]) {
-        // Mirror of the out-side grouping: in-entries sharing the member
-        // color `j` fold all queued first indices in one pass over
-        // `P_j`'s `din` rows.
-        if entries.len() >= 2 && entries.iter().all(|&(_, j)| j == entries[0].1) {
-            self.rescan_in_row_grouped(p, entries);
-            return;
-        }
-        for &(i, j) in entries {
-            self.rescan_in_entry(p, i as usize, j as usize);
-        }
-    }
-
-    /// Grouped rescan of out-entries that all share member color
-    /// `entries[0].0`: one pass over that color's `dout` rows folds every
-    /// queued column via [`kernels::scan_gather_columns`], then the
-    /// results land entry by entry. Equal to [`Self::rescan_out_entry`]
-    /// per entry, bit for bit (same member-order fold per column).
-    fn rescan_out_row_grouped(&mut self, p: &Partition, entries: &[(u32, u32)]) {
-        let cap = self.cap;
-        let i = entries[0].0;
-        debug_assert!(entries.len() <= cap);
-        let cols: Vec<u32> = entries.iter().map(|&(_, j)| j).collect();
-        {
-            let (mn, mx) = self.row_scratch.split_at_mut(cap);
-            let (amn, amx) = self.row_arg_scratch.split_at_mut(cap);
-            if self.sparse_accum {
-                kernels::scan_gather_columns_sparse(
-                    p.members(i),
-                    &self.sparse_out,
-                    &cols,
-                    mn,
-                    &mut mx[..cap],
-                    amn,
-                    &mut amx[..cap],
-                    &mut self.row_nz_scratch[..cap],
-                );
-            } else {
-                kernels::scan_gather_columns(
-                    p.members(i),
-                    &self.dout,
-                    cap,
-                    &cols,
-                    mn,
-                    &mut mx[..cap],
-                    amn,
-                    &mut amx[..cap],
-                    &mut self.row_nz_scratch[..cap],
-                );
-            }
-        }
-        // Scratch layout after the scan: mins at [s], maxs at [cap + s]
-        // (arg slices likewise), counts at [s].
-        for (s, &(_, j)) in entries.iter().enumerate() {
-            let idx = i as usize * cap + j as usize;
-            self.out_min[idx] = self.row_scratch[s];
-            self.out_max[idx] = self.row_scratch[cap + s];
-            self.out_min_arg[idx] = self.row_arg_scratch[s];
-            self.out_max_arg[idx] = self.row_arg_scratch[cap + s];
-            self.out_nz[idx] = self.row_nz_scratch[s];
-        }
-    }
-
-    /// In-direction mirror of [`Self::rescan_out_row_grouped`]: entries
-    /// share member color `entries[0].1` and fold their queued first
-    /// indices in one pass over that color's `din` rows.
-    fn rescan_in_row_grouped(&mut self, p: &Partition, entries: &[(u32, u32)]) {
-        let cap = self.cap;
-        let j = entries[0].1;
-        debug_assert!(entries.len() <= cap);
-        let cols: Vec<u32> = entries.iter().map(|&(i, _)| i).collect();
-        {
-            let (mn, mx) = self.row_scratch.split_at_mut(cap);
-            let (amn, amx) = self.row_arg_scratch.split_at_mut(cap);
-            if self.sparse_accum {
-                kernels::scan_gather_columns_sparse(
-                    p.members(j),
-                    &self.sparse_in,
-                    &cols,
-                    mn,
-                    &mut mx[..cap],
-                    amn,
-                    &mut amx[..cap],
-                    &mut self.row_nz_scratch[..cap],
-                );
-            } else {
-                kernels::scan_gather_columns(
-                    p.members(j),
-                    &self.din,
-                    cap,
-                    &cols,
-                    mn,
-                    &mut mx[..cap],
-                    amn,
-                    &mut amx[..cap],
-                    &mut self.row_nz_scratch[..cap],
-                );
-            }
-        }
-        for (s, &(i, _)) in entries.iter().enumerate() {
-            let idx = i as usize * cap + j as usize;
-            self.in_min[idx] = self.row_scratch[s];
-            self.in_max[idx] = self.row_scratch[cap + s];
-            self.in_min_arg[idx] = self.row_arg_scratch[s];
-            self.in_max_arg[idx] = self.row_arg_scratch[cap + s];
-            self.in_nz[idx] = self.row_nz_scratch[s];
+            self.touched_deltas[(m >> 32) as usize] += delta;
         }
     }
 
@@ -4133,11 +3431,10 @@ impl IncrementalDegrees {
     /// regrowths — amortized `O(1)` copies per new color, not `O(k²)` copy
     /// traffic per shortfall — and each matrix regrows straight to its
     /// final `new_rows × new_cap` footprint in one allocation + one prefix
-    /// copy (see [`regrow`]; square summary matrices used to restride to
-    /// `old × new` and then resize again). Engines with tiered sparse rows
-    /// (degrees-only *and* sparse-storage summary engines) skip the
-    /// accumulator restride entirely: colors are entry keys there, so the
-    /// rows never depend on `cap`.
+    /// copy (see [`regrow`]). Tiered rows (degrees-only *and*
+    /// sparse-storage summary engines) skip the accumulator restride
+    /// entirely: colors are entry keys there, so the rows never depend on
+    /// `cap`.
     fn ensure_capacity(&mut self, needed: usize) {
         if needed <= self.cap {
             return;
@@ -4145,60 +3442,16 @@ impl IncrementalDegrees {
         let new_cap = needed.next_power_of_two();
         let old_cap = self.cap;
         if self.track_summaries {
-            if !self.sparse_accum {
-                regrow(&mut self.dout, self.n, self.n, old_cap, new_cap, 0.0);
-                if !self.symmetric {
-                    regrow(&mut self.din, self.n, self.n, old_cap, new_cap, 0.0);
-                }
-            }
-            regrow(&mut self.out_min, old_cap, new_cap, old_cap, new_cap, 0.0);
-            regrow(&mut self.out_max, old_cap, new_cap, old_cap, new_cap, 0.0);
-            regrow(
-                &mut self.out_min_arg,
-                old_cap,
-                new_cap,
-                old_cap,
-                new_cap,
-                NO_ARG,
-            );
-            regrow(
-                &mut self.out_max_arg,
-                old_cap,
-                new_cap,
-                old_cap,
-                new_cap,
-                NO_ARG,
-            );
-            regrow(&mut self.out_nz, old_cap, new_cap, old_cap, new_cap, 0);
-            if !self.symmetric {
-                regrow(&mut self.in_min, old_cap, new_cap, old_cap, new_cap, 0.0);
-                regrow(&mut self.in_max, old_cap, new_cap, old_cap, new_cap, 0.0);
-                regrow(
-                    &mut self.in_min_arg,
-                    old_cap,
-                    new_cap,
-                    old_cap,
-                    new_cap,
-                    NO_ARG,
-                );
-                regrow(
-                    &mut self.in_max_arg,
-                    old_cap,
-                    new_cap,
-                    old_cap,
-                    new_cap,
-                    NO_ARG,
-                );
-                regrow(&mut self.in_nz, old_cap, new_cap, old_cap, new_cap, 0);
+            for side in &mut self.sides {
+                side.acc.regrow(self.n, new_cap);
+                side.sums.regrow(old_cap, new_cap);
             }
             self.row_max_err.resize(new_cap, 0.0);
             self.row_best.resize(new_cap, None);
             self.row_err_dirty.resize(new_cap, true);
             self.row_best_dirty.resize(new_cap, true);
-            self.color_slot.resize(new_cap, u32::MAX);
-            self.row_scratch.resize(4 * new_cap, 0.0);
-            self.row_arg_scratch.resize(4 * new_cap, NO_ARG);
-            self.row_nz_scratch.resize(2 * new_cap, 0);
+            self.batch.slot.resize(new_cap, u32::MAX);
+            self.fold.resize(new_cap);
         }
         self.cap = new_cap;
     }
@@ -4345,19 +3598,142 @@ fn regrow<T: Copy>(
     *data = grown;
 }
 
-/// Min/max (with first-attainer witnesses) of `acc[u * cap + col]` over the
-/// given members, in member order — the shared kernel of every entry
-/// rescan, routed through the branch-free gather scan in [`crate::kernels`]
-/// (identical sequential semantics, select form instead of branches).
-#[inline]
-#[allow(clippy::type_complexity)]
-fn scan_entry_column(
-    members: &[NodeId],
-    acc: &[f64],
-    cap: usize,
-    col: usize,
-) -> (f64, f64, u32, u32, u32) {
-    kernels::scan_gather_column(members, acc, cap, col)
+/// Move row and column `from` of a `cap`-strided square plane to `to`
+/// (diagonal handled explicitly). `from` is always the last live color, so
+/// the skip set `{from, to}` splits the column range into two contiguous
+/// runs — the row moves become two `copy_within` memmoves and the (strided)
+/// column moves two branch-free loops.
+fn relabel_plane<T: Copy>(m: &mut [T], cap: usize, k: usize, from: usize, to: usize) {
+    debug_assert!(from == k - 1 && to < from);
+    let diag = m[from * cap + from];
+    m.copy_within(from * cap..from * cap + to, to * cap);
+    m.copy_within(from * cap + to + 1..from * cap + from, to * cap + to + 1);
+    for j in 0..to {
+        m[j * cap + to] = m[j * cap + from];
+    }
+    for j in to + 1..from {
+        m[j * cap + to] = m[j * cap + from];
+    }
+    m[to * cap + to] = diag;
+}
+
+/// The tight `rows × cols` prefix of a `stride`-strided row-major buffer.
+fn tight<T: Copy>(padded: &[T], rows: usize, cols: usize, stride: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(rows * cols);
+    for r in 0..rows {
+        out.extend_from_slice(&padded[r * stride..r * stride + cols]);
+    }
+    out
+}
+
+/// The tight `k × k` prefix of a summary plane (empty for an absent plane).
+fn square<T: Copy>(padded: &[T], k: usize, cap: usize) -> Vec<T> {
+    if padded.is_empty() {
+        return Vec::new();
+    }
+    tight(padded, k, k, cap)
+}
+
+/// Re-pad a tight `rows × cols` snapshot column back into the full strided
+/// buffer construction would allocate (`alloc_rows × stride`; summary
+/// planes are `cap × cap`, so rows `k..cap` exist and hold background
+/// values — splits that grow `k` within capacity index them before
+/// writing). `alloc_rows == 0` marks an absent buffer.
+fn pad<T: Copy>(
+    tight: &[T],
+    rows: usize,
+    cols: usize,
+    alloc_rows: usize,
+    stride: usize,
+    fill: T,
+) -> Vec<T> {
+    if alloc_rows == 0 {
+        assert!(
+            tight.is_empty(),
+            "snapshot column for absent matrix is non-empty"
+        );
+        return Vec::new();
+    }
+    assert_eq!(tight.len(), rows * cols, "snapshot column length mismatch");
+    let mut out = vec![fill; alloc_rows * stride];
+    for r in 0..rows {
+        out[r * stride..r * stride + cols].copy_from_slice(&tight[r * cols..(r + 1) * cols]);
+    }
+    out
+}
+
+/// Tiered rows in columnar snapshot form.
+fn rows_snapshot(rows: &[RowRep]) -> RowsSnapshot {
+    if rows.is_empty() {
+        // An empty graph: all columns empty, `is_present` false.
+        return RowsSnapshot::default();
+    }
+    let mut snap = RowsSnapshot {
+        offsets: Vec::with_capacity(rows.len() + 1),
+        colors: Vec::new(),
+        weights: Vec::new(),
+        dense: Vec::with_capacity(rows.len()),
+    };
+    snap.offsets.push(0);
+    let mut buf = Vec::new();
+    for row in rows {
+        buf.clear();
+        row.push_nonzero_entries(&mut buf);
+        for &(c, w) in &buf {
+            snap.colors.push(c);
+            snap.weights.push(w);
+        }
+        snap.offsets.push(snap.colors.len());
+        snap.dense.push(row.is_dense());
+    }
+    snap
+}
+
+/// Rebuild `n` tiered rows from their columnar snapshot form, restoring
+/// each row's tier.
+fn rows_restore(snap: &RowsSnapshot, n: usize, promote_k: usize) -> Vec<RowRep> {
+    if !snap.is_present() {
+        assert_eq!(
+            n, 0,
+            "row snapshot absent for a direction that needs {n} rows"
+        );
+        return Vec::new();
+    }
+    assert_eq!(
+        snap.offsets.len(),
+        n + 1,
+        "row snapshot offsets length mismatch"
+    );
+    assert_eq!(
+        snap.dense.len(),
+        n,
+        "row snapshot tier-flag length mismatch"
+    );
+    assert_eq!(
+        *snap.offsets.last().expect("n + 1 offsets"),
+        snap.colors.len(),
+        "row snapshot entry count mismatch"
+    );
+    assert_eq!(
+        snap.colors.len(),
+        snap.weights.len(),
+        "row snapshot column mismatch"
+    );
+    (0..n)
+        .map(|v| {
+            let (lo, hi) = (snap.offsets[v], snap.offsets[v + 1]);
+            let entries: Vec<(u32, f64)> = snap.colors[lo..hi]
+                .iter()
+                .copied()
+                .zip(snap.weights[lo..hi].iter().copied())
+                .collect();
+            if snap.dense[v] {
+                RowRep::dense_from_sorted(&entries, promote_k)
+            } else {
+                RowRep::Sparse(entries)
+            }
+        })
+        .collect()
 }
 
 /// Build one sparse accumulator row from a node's arc slices: per-color
@@ -4382,14 +3758,14 @@ fn sparse_row_from_arcs((nbrs, wts): (&[NodeId], &[f64]), p: &Partition) -> Vec<
     row
 }
 
-/// Dedupe one chunk of movers' neighbors into `out` as `(node, chunk-local
-/// delta)` pairs in first-touch order, using the caller's
-/// generation-stamped scratch arrays — the per-chunk kernel of the
+/// Dedupe one chunk of movers' neighbors along `arcs` into `out` as
+/// `(node, chunk-local delta)` pairs in first-touch order, using the
+/// caller's generation-stamped scratch arrays — the per-chunk kernel of the
 /// canonical chunked touched-collection.
 fn scan_chunk(
     g: &Graph,
     movers: &[NodeId],
-    incoming: bool,
+    arcs: Arcs,
     stamp: &mut [u32],
     gen: &mut u32,
     delta: &mut [f64],
@@ -4403,11 +3779,7 @@ fn scan_chunk(
     }
     let gen = *gen;
     for &v in movers {
-        let (nbrs, wts) = if incoming {
-            g.in_arcs(v)
-        } else {
-            g.out_arcs(v)
-        };
+        let (nbrs, wts) = arcs(g, v);
         for (idx, &u) in nbrs.iter().enumerate() {
             if stamp[u as usize] != gen {
                 stamp[u as usize] = gen;
@@ -4422,32 +3794,25 @@ fn scan_chunk(
     }
 }
 
-/// Fold one arc-accumulator delta of an edge batch into the per-(node,
-/// column) combined list (first-touch order, so batch processing is
-/// deterministic).
-fn accumulate_edge(
-    list: &mut Vec<(NodeId, u32, f64)>,
-    slots: &mut HashMap<(NodeId, u32), usize>,
-    u: NodeId,
-    col: u32,
-    delta: f64,
+/// Hand `f` the accumulator changes of a batch of edge events in event
+/// order, as `(side, node, column, delta)`: event `(u, v, Δ)` changes
+/// `u`'s out-row at `color(v)` and `v`'s in-row at `color(u)`. With one
+/// stored side (symmetric graphs) the latter is the mirrored arc's out-row,
+/// and a self-loop is a single stored arc.
+fn edge_arc_changes(
+    p: &Partition,
+    events: &[EdgeEvent],
+    sides: usize,
+    mut f: impl FnMut(usize, NodeId, u32, f64),
 ) {
-    match slots.entry((u, col)) {
-        std::collections::hash_map::Entry::Occupied(e) => list[*e.get()].2 += delta,
-        std::collections::hash_map::Entry::Vacant(e) => {
-            e.insert(list.len());
-            list.push((u, col, delta));
+    for ev in events {
+        let cu = p.color_of(ev.source);
+        let cv = p.color_of(ev.target);
+        f(0, ev.source, cv, ev.delta);
+        if sides == 2 || ev.source != ev.target {
+            f(sides - 1, ev.target, cu, ev.delta);
         }
     }
-}
-
-/// Which matrix a [`IncrementalDegrees::patch_entry`] call updates.
-#[derive(Clone, Copy, Debug)]
-enum EntryKind {
-    /// Out-matrix entry `(i, c)`: the batched color is the row `i`.
-    OutCol,
-    /// In-matrix entry `(c, j)`: the batched color is the column `j`.
-    InRow,
 }
 
 /// `size^exponent` with the paper's convention that an exponent of zero

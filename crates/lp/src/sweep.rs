@@ -250,14 +250,25 @@ impl<'p> ReducedLpDelta<'p> {
         for (i, j, v) in problem.a.triplets() {
             csc[j as usize].push((i, v));
         }
-        let mut dirty_row_flag = vec![false; rows];
+        // Dirty ids at or past the current count are pending removal
+        // markers left by merges (see `apply_merge`); they always form the
+        // range `[count, count + m)` with `m <= dirty.len()`.
+        let row_bound = rows + snap.dirty_rows.len();
+        let mut dirty_row_flag = vec![false; row_bound];
         for &r in &snap.dirty_rows {
-            assert!((r as usize) < rows, "lp snapshot dirty row out of range");
+            assert!(
+                (r as usize) < row_bound,
+                "lp snapshot dirty row out of range"
+            );
             dirty_row_flag[r as usize] = true;
         }
-        let mut dirty_col_flag = vec![false; cols];
+        let col_bound = cols + snap.dirty_cols.len();
+        let mut dirty_col_flag = vec![false; col_bound];
         for &s in &snap.dirty_cols {
-            assert!((s as usize) < cols, "lp snapshot dirty column out of range");
+            assert!(
+                (s as usize) < col_bound,
+                "lp snapshot dirty column out of range"
+            );
             dirty_col_flag[s as usize] = true;
         }
         ReducedLpDelta {
@@ -836,32 +847,8 @@ mod tests {
         let mut emitter = PatchedReducedLp::new(&mut delta, LpReductionVariant::SqrtNormalized);
         let mut p = sweep.partition().clone();
         // Merge compatible (same-kind, unpinned) global color pairs until
-        // none are left. Kinds mirror ReducedLpDelta's bookkeeping: row
-        // nodes are ids 0..m, column nodes m+1..m+1+n.
-        let m = lp.num_rows();
-        loop {
-            let k = p.num_colors() as u32;
-            let kind_of = |p: &qsc_core::Partition, c: u32| {
-                let node = p.members(c)[0] as usize;
-                if p.size(c) == 1 && (node == m || node == m + 1 + lp.num_cols()) {
-                    2 // pinned objective row / rhs column
-                } else if node < m {
-                    0
-                } else {
-                    1
-                }
-            };
-            let mut pair = None;
-            'outer: for a in 0..k {
-                for b in (a + 1)..k {
-                    let (ka, kb) = (kind_of(&p, a), kind_of(&p, b));
-                    if ka == kb && ka != 2 {
-                        pair = Some((a, b));
-                        break 'outer;
-                    }
-                }
-            }
-            let Some((a, b)) = pair else { break };
+        // none are left.
+        while let Some((a, b)) = mergeable_pair(&p, &lp, None) {
             let ev = p.merge_colors(a, b);
             delta.apply_merge(&ev);
             assert_eq!(delta.verify(), Ok(()));
@@ -878,6 +865,73 @@ mod tests {
         }
         assert_eq!(delta.num_rows(), 1);
         assert_eq!(delta.num_cols(), 1);
+    }
+
+    /// The first pair of global colors `ReducedLpDelta` can merge: both
+    /// unpinned and aggregating the same side (rows when `rows` is
+    /// `Some(true)`, columns when `Some(false)`, either when `None`). Kinds
+    /// mirror the delta's bookkeeping: row nodes are ids `0..m`, column
+    /// nodes `m+1..m+1+n`.
+    fn mergeable_pair(
+        p: &qsc_core::Partition,
+        lp: &LpProblem,
+        rows: Option<bool>,
+    ) -> Option<(u32, u32)> {
+        let m = lp.num_rows();
+        let kind_of = |c: u32| {
+            let node = p.members(c)[0] as usize;
+            if p.size(c) == 1 && (node == m || node == m + 1 + lp.num_cols()) {
+                None // pinned objective row / rhs column
+            } else {
+                Some(node < m)
+            }
+        };
+        let k = p.num_colors() as u32;
+        (0..k)
+            .flat_map(|a| ((a + 1)..k).map(move |b| (a, b)))
+            .find(|&(a, b)| {
+                let kind = kind_of(a);
+                kind.is_some() && kind == kind_of(b) && rows.is_none_or(|r| kind == Some(r))
+            })
+    }
+
+    #[test]
+    fn snapshot_after_merges_restores_pending_removal_markers() {
+        // A merge marks the removed last reduced row (column) dirty — an
+        // id equal to the new count. A snapshot taken before the dirty set
+        // is drained must restore to the same delta.
+        let lp = block_problem(13);
+        let (graph, initial) = coloring_graph(&lp);
+        let rothko_config = RothkoConfig {
+            max_colors: usize::MAX,
+            initial: Some(initial),
+            ..Default::default()
+        };
+        let mut sweep = ColoringSweep::new(&graph, rothko_config);
+        let mut delta = ReducedLpDelta::new(&lp);
+        sweep.advance_to(12, |_, ev| delta.apply_split(ev));
+        delta.take_dirty();
+        let mut p = sweep.partition().clone();
+        for rows in [true, false] {
+            let (a, b) = mergeable_pair(&p, &lp, Some(rows)).expect("a mergeable pair");
+            delta.apply_merge(&p.merge_colors(a, b));
+        }
+        let snap = delta.snapshot();
+        let mut restored = ReducedLpDelta::from_snapshot(&lp, &snap);
+        assert_eq!(restored.snapshot(), snap);
+        assert_eq!(restored.verify(), Ok(()));
+        assert_eq!(restored.verify(), delta.verify());
+        let variant = LpReductionVariant::SqrtNormalized;
+        let (ours, theirs) = (
+            restored.reduced_problem(variant),
+            delta.reduced_problem(variant),
+        );
+        assert_eq!(ours.b, theirs.b);
+        assert_eq!(ours.c, theirs.c);
+        let ours_a: Vec<_> = ours.a.triplets().collect();
+        let theirs_a: Vec<_> = theirs.a.triplets().collect();
+        assert_eq!(ours_a, theirs_a);
+        assert_eq!(restored.take_dirty(), delta.take_dirty());
     }
 
     #[test]

@@ -1297,11 +1297,8 @@ pub fn write_checkpoint_file_with(
     }
     fs::rename(&tmp, path)?;
     if let Some(dir) = path.parent() {
-        // Persist the rename itself. Platforms that cannot open a
-        // directory as a file skip it.
-        if let Ok(d) = fs::File::open(dir) {
-            d.sync_all()?;
-        }
+        // Persist the rename itself.
+        crate::wal::sync_dir(dir)?;
     }
     Ok(stats)
 }

@@ -236,6 +236,16 @@ fn segment_path(dir: &Path, first_seq: u64) -> PathBuf {
     dir.join(format!("wal-{first_seq:020}.seg"))
 }
 
+/// Fsync the directory `dir`, persisting the file creations, renames and
+/// deletions in it. Platforms that cannot open a directory as a file skip
+/// it.
+pub(crate) fn sync_dir(dir: &Path) -> Result<(), PersistError> {
+    if let Ok(d) = fs::File::open(dir) {
+        d.sync_all()?;
+    }
+    Ok(())
+}
+
 /// List segment files in `dir`, sorted by their first sequence number.
 pub fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, PersistError> {
     let mut segs = Vec::new();
@@ -305,6 +315,9 @@ impl WalWriter {
         header.extend_from_slice(&crc.to_le_bytes());
         let mut file = fs::File::create(segment_path(dir, first_seq))?;
         file.write_all(&header)?;
+        // Persist the new directory entry: without it a crash can drop the
+        // segment together with every record later fsynced into it.
+        sync_dir(dir)?;
         Ok(file)
     }
 
@@ -367,6 +380,7 @@ impl WalWriter {
     /// current (open) segment is never deleted.
     pub fn truncate_covered(&mut self, covered_seq: u64) -> Result<(), PersistError> {
         let segs = list_segments(&self.dir)?;
+        let mut removed = false;
         for (i, (first_seq, path)) in segs.iter().enumerate() {
             // A segment's records are covered iff the *next* segment
             // starts at or below covered_seq + 1 (its records all have
@@ -375,9 +389,14 @@ impl WalWriter {
             match next_first {
                 Some(next) if next <= covered_seq + 1 && *first_seq < next => {
                     fs::remove_file(path)?;
+                    removed = true;
                 }
                 _ => {}
             }
+        }
+        if removed {
+            // Persist the deletions, so a crash cannot resurrect them.
+            sync_dir(&self.dir)?;
         }
         Ok(())
     }
