@@ -2084,32 +2084,7 @@ impl IncrementalDegrees {
                 Side::new(acc, Summaries::new(mat_cap, strides), touch_arcs)
             })
             .collect();
-        let mut engine = IncrementalDegrees {
-            n,
-            k,
-            cap,
-            sides,
-            track_summaries,
-            last_beta: 0.0,
-            row_max_err: vec![0.0; mat_cap],
-            row_best: vec![None; mat_cap],
-            row_err_dirty: vec![true; mat_cap],
-            row_best_dirty: vec![true; mat_cap],
-            node_stamp: vec![0; n],
-            node_delta: vec![0.0; n],
-            stamp_gen: 0,
-            node_mark: vec![0; n],
-            mark_gen: 0,
-            touched_nodes: Vec::new(),
-            touched_deltas: Vec::new(),
-            batch: ColorBatch {
-                slot: vec![0; mat_cap],
-                ..ColorBatch::default()
-            },
-            fold: FoldScratch::default(),
-            chunk_out: Vec::new(),
-        };
-        engine.fold.resize(mat_cap);
+        let mut engine = Self::assemble(sides, (n, k, cap), track_summaries, 0.0);
         if track_summaries {
             // Pair summaries: scan each color's members once.
             for s in 0..k {
@@ -2274,13 +2249,25 @@ impl IncrementalDegrees {
                 Side::new(accum(plane, rows), sums(planes, strides), touch_arcs)
             })
             .collect();
+        Self::assemble(sides, (n, k, cap), track_summaries, snap.last_beta)
+    }
+
+    /// An engine over `sides` with all-dirty witness caches and fresh
+    /// scratch — what construction and restore share.
+    fn assemble(
+        sides: Vec<Side>,
+        (n, k, cap): (usize, usize, usize),
+        track_summaries: bool,
+        last_beta: f64,
+    ) -> Self {
+        let mat_cap = if track_summaries { cap } else { 0 };
         let mut engine = IncrementalDegrees {
             n,
             k,
             cap,
             sides,
             track_summaries,
-            last_beta: snap.last_beta,
+            last_beta,
             row_max_err: vec![0.0; mat_cap],
             row_best: vec![None; mat_cap],
             row_err_dirty: vec![true; mat_cap],
